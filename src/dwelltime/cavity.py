@@ -16,9 +16,7 @@ import numpy as np
 
 from .domain import NarrowBandPulse, PulseSpec
 from .errors import InvalidParameterError, UndefinedConditionalError
-from .spectral import _spectral_window, converge_trapezoid
-
-DEFAULT_TOL = 1e-9
+from .spectral import DEFAULT_TOL, _spectral_window, converge_trapezoid
 
 
 @dataclass(frozen=True)

@@ -29,12 +29,6 @@ class AtomParams:
         if not self.gamma > 0:
             raise InvalidParameterError(f"gamma must be positive, got {self.gamma}")
 
-    def to_physical_time(self, t_in_inverse_gamma):
-        return t_in_inverse_gamma / self.gamma
-
-    def to_physical_frequency(self, f_in_gamma):
-        return f_in_gamma * self.gamma
-
 
 @dataclass(frozen=True)
 class GaussianPulse:
@@ -111,18 +105,6 @@ class TabulatedSpectrumPulse:
 
     def spectral_density(self, w):
         return np.abs(self.spectral_amplitude(w)) ** 2
-
-    @property
-    def detuning(self):
-        # density-weighted center, used to center quadrature grids
-        d = np.abs(self.amplitudes) ** 2
-        return float(np.trapezoid(self.omegas * d, self.omegas) / np.trapezoid(d, self.omegas))
-
-    @property
-    def is_real_spectrum(self):
-        # time-symmetric pulses have (globally dephased) real spectra
-        a = self.amplitudes * np.exp(-1j * np.angle(self.amplitudes[np.argmax(np.abs(self.amplitudes))]))
-        return bool(np.max(np.abs(a.imag)) <= 1e-10 * np.max(np.abs(a)))
 
 
 PulseSpec = Union[GaussianPulse, NarrowBandPulse, TabulatedSpectrumPulse]

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (
+    DelayReport,
     GaussianPulse,
     MediumProfile,
     NarrowBandPulse,
@@ -43,9 +44,10 @@ def lorentzian(omega):
 
 def group_delay(detuning, od0):
     """Stationary-phase transmission delay through resonant optical depth od0."""
-    d = float(detuning)
-    q = 1.0 - 4.0 * d * d
-    return -od0 * q / (1.0 + 4.0 * d * d) ** 2
+    w = np.asarray(detuning, dtype=float)
+    q = 1.0 - 4.0 * w * w
+    delay = -od0 * q / (1.0 + 4.0 * w * w) ** 2
+    return delay if delay.ndim else float(delay)
 
 
 def wigner_delay(detuning):
@@ -104,11 +106,13 @@ def converge_trapezoid(rows_fn, center, half_width, *, tol=DEFAULT_TOL, grid_n=N
 
     Stops when every row changes by less than tol * max(|value|, 1) under one
     doubling. grid_n pins the panel count instead (no convergence check).
-    Returns (values, panel_count).
+    A tol below double precision raises NumericError. Returns (values, panel_count).
     """
     if grid_n is not None:
         w = np.linspace(center - half_width, center + half_width, int(grid_n) + 1)
         return _trapz_rows(rows_fn(w), w), int(grid_n)
+    if tol < np.finfo(float).eps:
+        raise NumericError(f"tol={tol} is below double precision and cannot be certified")
     prev = None
     n = N_START
     while n <= N_CAP:
@@ -127,77 +131,47 @@ def _trapz_rows(rows, w):
     return h * (rows.sum(axis=1) - 0.5 * (rows[:, 0] + rows[:, -1]))
 
 
-def _transmission_kernel(omega, od0):
-    """Complex response kernel whose real part is the per-frequency group delay."""
-    w = np.asarray(omega, dtype=float)
-    return (od0 / 4.0) / (w * w - 0.25 - 1j * w)
-
-
 def _core_integrals(pulse: PulseSpec, medium: MediumProfile, tol, grid_n):
-    """Shared quadrature pass: norm, P_T, P_S, tau_0 and both tau_T numerators."""
+    """The one pass per case: P_T, P_S, tau_T, tau_S, od_eff and the panel count.
+
+    Narrow band: closed forms at the carrier (panels = 0). Finite bandwidth:
+    four real rows (norm, P_T, P_S and the tau_T numerator) on one grid.
+    """
     od0 = medium.od0
-    center, half = _spectral_window(pulse)
+    if isinstance(pulse, NarrowBandPulse):
+        x = od0 * float(lorentzian(pulse.detuning))
+        pt, ps, n = math.exp(-x), -math.expm1(-x), 0
+        tau_t = group_delay(pulse.detuning, od0)
+        with np.errstate(over="ignore"):  # t_g / inf -> tau_S = 1, its dense limit
+            tau_s = 1.0 - tau_t / float(np.expm1(x)) if od0 > 0 else math.nan
+        od_eff = x
+    else:
+        center, half = _spectral_window(pulse)
 
-    def rows(w):
-        dens = pulse.spectral_density(w)
-        x = od0 * lorentzian(w)
-        trans = np.exp(-x)
-        return np.stack(
-            [
-                dens.astype(complex),
-                (dens * trans).astype(complex),
-                (dens * -np.expm1(-x)).astype(complex),
-                (dens * (1.0 - np.exp(-x))).astype(complex),
-                (dens * trans * _group_delay_profile(w, od0)).astype(complex),
-                dens * trans * _transmission_kernel(w, od0),
-            ]
-        )
+        def rows(w):
+            dens = pulse.spectral_density(w)
+            x = od0 * lorentzian(w)
+            trans = dens * np.exp(-x)
+            return np.stack([dens, trans, dens * -np.expm1(-x), trans * group_delay(w, od0)])
 
-    vals, n = converge_trapezoid(rows, center, half, tol=tol, grid_n=grid_n)
-    norm, pt_raw, ps_raw, tau0_raw, tauw_raw, tauk_raw = vals
-    return {
-        "norm": norm.real,
-        "pt": pt_raw.real / norm.real,
-        "ps": ps_raw.real / norm.real,
-        "tau0": tau0_raw.real / norm.real,
-        "tau_t_weighted": tauw_raw.real / pt_raw.real,
-        "tau_t_kernel": tauk_raw.real / pt_raw.real,
+        (norm, pt_raw, ps_raw, num), n = converge_trapezoid(rows, center, half, tol=tol, grid_n=grid_n)
+        pt, ps, tau_t = pt_raw / norm, ps_raw / norm, num / pt_raw
         # 0/0 at od0 = 0, where the scattered channel is empty
-        "pt_tau_t_over_ps": tauw_raw.real / ps_raw.real if ps_raw.real > 0.0 else math.nan,
-        "panels": n,
-    }
-
-
-def _group_delay_profile(w, od0):
-    q = 1.0 - 4.0 * w * w
-    return -od0 * q / (1.0 + 4.0 * w * w) ** 2
+        tau_s = 1.0 - num / ps_raw if ps_raw > 0.0 else math.nan
+        od_eff = -np.log(pt)
+    return {"pt": float(pt), "ps": float(ps), "tau_t": float(tau_t), "tau_s": float(tau_s),
+            "od_eff": float(od_eff), "panels": n}
 
 
 def transmission_probability(pulse: PulseSpec, medium: MediumProfile, *, tol=DEFAULT_TOL, grid_n=None):
     """(P_T, P_S): probabilities that the photon survives or scatters."""
-    if isinstance(pulse, NarrowBandPulse):
-        x = medium.od0 * float(lorentzian(pulse.detuning))
-        return math.exp(-x), -math.expm1(-x)
     core = _core_integrals(pulse, medium, tol, grid_n)
     return core["pt"], core["ps"]
 
 
 def tau_avg(pulse: PulseSpec, medium: MediumProfile, *, tol=DEFAULT_TOL, grid_n=None):
     """Average excited-state dwell time over all outcomes, (1/Gamma) * P_S."""
-    if isinstance(pulse, NarrowBandPulse):
-        x = medium.od0 * float(lorentzian(pulse.detuning))
-        return 1.0 - math.exp(-x)
-    return _core_integrals(pulse, medium, tol, grid_n)["tau0"]
-
-
-def tau_T_forms(pulse: PulseSpec, medium: MediumProfile, *, tol=DEFAULT_TOL, grid_n=None):
-    """Both routes to the transmitted-photon dwell time: (kernel form, weighted form)."""
-    if isinstance(pulse, NarrowBandPulse):
-        d = pulse.detuning
-        kernel = float(np.real(_transmission_kernel(d, medium.od0)))
-        return kernel, group_delay(d, medium.od0)
-    core = _core_integrals(pulse, medium, tol, grid_n)
-    return core["tau_t_kernel"], core["tau_t_weighted"]
+    return _core_integrals(pulse, medium, tol, grid_n)["ps"]
 
 
 def tau_T(pulse: PulseSpec, medium: MediumProfile, *, tol=DEFAULT_TOL, grid_n=None):
@@ -206,21 +180,14 @@ def tau_T(pulse: PulseSpec, medium: MediumProfile, *, tol=DEFAULT_TOL, grid_n=No
     Negative values are allowed: the transmitted weak value of the excitation
     integrates the group delay over the surviving spectrum.
     """
-    if isinstance(pulse, NarrowBandPulse):
-        return group_delay(pulse.detuning, medium.od0)
-    return _core_integrals(pulse, medium, tol, grid_n)["tau_t_weighted"]
+    return _core_integrals(pulse, medium, tol, grid_n)["tau_t"]
 
 
 def tau_S(pulse: PulseSpec, medium: MediumProfile, *, tol=DEFAULT_TOL, grid_n=None):
     """Excited-state dwell time conditioned on scattering, from the outcome sum rule."""
     if medium.od0 == 0.0:
         raise UndefinedConditionalError("nothing scatters at od0 = 0")
-    if isinstance(pulse, NarrowBandPulse):
-        d = pulse.detuning
-        x = medium.od0 * float(lorentzian(d))
-        return 1.0 - group_delay(d, medium.od0) / math.expm1(x)
-    core = _core_integrals(pulse, medium, tol, grid_n)
-    return 1.0 - core["pt_tau_t_over_ps"]
+    return _core_integrals(pulse, medium, tol, grid_n)["tau_s"]
 
 
 def scattered_delay(pulse: PulseSpec, medium: MediumProfile, *, tol=DEFAULT_TOL, grid_n=None):
@@ -233,27 +200,24 @@ def scattered_delay(pulse: PulseSpec, medium: MediumProfile, *, tol=DEFAULT_TOL,
         raise UndefinedConditionalError("nothing scatters at od0 = 0")
     od0 = medium.od0
     if isinstance(pulse, NarrowBandPulse):
-        return _scattered_delay_point(pulse.detuning, od0)
+        return float(_scattered_delay_point(pulse.detuning, od0))
     center, half = _spectral_window(pulse)
 
     def rows(w):
         dens = pulse.spectral_density(w)
         weight = dens * -np.expm1(-od0 * lorentzian(w))
-        return np.stack([weight, weight * _scattered_delay_point_arr(w, od0)])
+        return np.stack([weight, weight * _scattered_delay_point(w, od0)])
 
     (den, num), _ = converge_trapezoid(rows, center, half, tol=tol, grid_n=grid_n)
-    return float(num.real / den.real)
+    return float(num / den)
 
 
-def _scattered_delay_point(detuning, od0):
-    return float(_scattered_delay_point_arr(np.asarray(float(detuning)), od0))
-
-
-def _scattered_delay_point_arr(w, od0):
+def _scattered_delay_point(w, od0):
     line = lorentzian(w)
     q = 1.0 - 4.0 * np.asarray(w, dtype=float) ** 2
     x = od0 * line  # > 0 whenever anything scatters
-    return 2.0 * line + q * line * (x / np.expm1(x) - 1.0)
+    with np.errstate(over="ignore"):  # x / inf -> 0 in dense media
+        return 2.0 * line + q * line * (x / np.expm1(x) - 1.0)
 
 
 def scattered_delay_quadrature(detuning, od0, n_od=4001):
@@ -371,41 +335,22 @@ def backward_fields(fields: SpectralFields, medium: MediumProfile, p_t):
 
 def delay_report(pulse: PulseSpec, medium: MediumProfile, *, tol=DEFAULT_TOL, grid_n=None):
     """Full analytic DelayReport for one case; conditional times are NaN at od0 = 0."""
-    from .domain import DelayReport
-
-    nan = float("nan")
-    if isinstance(pulse, NarrowBandPulse):
-        d = pulse.detuning
-        p_t, p_s = transmission_probability(pulse, medium)
-        if medium.od0 > 0:
-            t_s_cond = tau_S(pulse, medium)
-            arrival = _scattered_delay_point(d, medium.od0)
-        else:
-            t_s_cond, arrival = nan, nan
-        return DelayReport(
-            P_T=p_t,
-            P_S=p_s,
-            tau_0=tau_avg(pulse, medium),
-            tau_T=group_delay(d, medium.od0),
-            tau_S=t_s_cond,
-            t_g=group_delay(d, medium.od0),
-            t_W=wigner_delay(d),
-            t_S=arrival,
-            od_eff=medium.od0 * float(lorentzian(d)),
-            method="analytic",
-        )
     core = _core_integrals(pulse, medium, tol, grid_n)
-    has_loss = medium.od0 > 0
+    t_g = t_W = t_S = math.nan
+    if isinstance(pulse, NarrowBandPulse):
+        t_g, t_W = core["tau_t"], wigner_delay(pulse.detuning)
+        if medium.od0 > 0:
+            t_S = float(_scattered_delay_point(pulse.detuning, medium.od0))
     return DelayReport(
         P_T=core["pt"],
         P_S=core["ps"],
-        tau_0=core["tau0"],
-        tau_T=core["tau_t_weighted"],
-        tau_S=1.0 - core["pt_tau_t_over_ps"] if has_loss else nan,
-        t_g=nan,
-        t_W=nan,
-        t_S=nan,
-        od_eff=float(-np.log(core["pt"])),
+        tau_0=core["ps"],
+        tau_T=core["tau_t"],
+        tau_S=core["tau_s"],
+        t_g=t_g,
+        t_W=t_W,
+        t_S=t_S,
+        od_eff=core["od_eff"],
         method="analytic",
     )
 

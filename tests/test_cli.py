@@ -1,5 +1,6 @@
 """Config intake, CSV output, sweep machinery, exit codes."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -187,6 +188,18 @@ kind = timedomain
         assert cli.main(["run", cfg]) == 4
         assert "precondition" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("od0,detuning,code", [(1000.0, 0.3, 0), (800.0, 0.0, 4)])
+    def test_dense_narrowband(self, tmp_path, od0, detuning, code):
+        # exp(x) overflows past x ~ 710; tau_S then takes its dense limit 1.
+        # On resonance at od0 = 800, P_T underflows to 0 and the report is refused.
+        out = tmp_path / "report.csv"
+        cfg = write(tmp_path, f"[pulse]\nkind = narrowband\ndetuning = {detuning}\n"
+                              f"[medium]\nod0 = {od0}\n[output]\npath = {out}\n")
+        assert cli.main(["run", cfg]) == code
+        if code == 0:
+            header, rows = read_rows(out)
+            assert float(rows[0][header.index("tau_S")]) == 1.0
+
     def test_numeric_failure_exits_3(self, tmp_path):
         # impossible quadrature tolerance drives the doubling past its cap
         cfg = write(tmp_path, BASE + "\n[quadrature]\ntol = 1e-30\n")
@@ -251,7 +264,24 @@ spacing = linear
             cli._worker_count()
 
 
+# SHA-256 of each canned figure CSV; the README promises byte-identical output
+FIGURE_SHA256 = {
+    "fig2": "091dfbdb643048c2bdff1ed7dc99893593d4fb36ae142d518d8b7fbc3071dc58",
+    "fig3a": "5d729d72c366c9c22d10962f230a2e3b6f75666b8a630b83e2d10b46daf8e534",
+    "fig3b": "eb48e240443e95c4216482958c8db25f7afe9c9391db99cdd9b981fef011b8ba",
+    "fig4": "2ce97a82ae1280e509ff159d36fe3673bfcd814554cd5fde6f46a9551cf77271",
+    "figF1": "bbb84173c821ebc962bf850a0c3699d2e7c66003b906ab633f0512911e550ddd",
+    "figG1": "db9dbf8decb797b73492bc929a312cf563096dd9db039a6fce9310a6f186addd",
+}
+
+
 class TestFigureCommand:
+    @pytest.mark.parametrize("name", sorted(FIGURE_SHA256))
+    def test_figure_bytes_pinned(self, tmp_path, name):
+        out = tmp_path / f"{name}.csv"
+        assert cli.main(["figure", name, str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == FIGURE_SHA256[name]
+
     def test_fig3a_dataset(self, tmp_path):
         out = tmp_path / "fig3a.csv"
         assert cli.main(["figure", "fig3a", str(out)]) == 0

@@ -73,23 +73,11 @@ class TestTabulatedSpectrumPulse:
         with pytest.raises(InvalidParameterError):
             TabulatedSpectrumPulse(np.array([0.0, 1.0]), np.zeros(2))
 
-    def test_detuning_is_density_weighted_center(self):
-        w = np.linspace(-6, 8, 8001)
-        p = TabulatedSpectrumPulse(w, np.exp(-((w - 1.0) ** 2)))
-        assert p.detuning == pytest.approx(1.0, abs=1e-10)
-
     def test_amplitude_vanishes_outside_grid(self):
         w = np.linspace(-1, 1, 101)
         p = TabulatedSpectrumPulse(w, np.ones(101))
         assert p.spectral_amplitude(2.0) == 0.0
         assert p.spectral_amplitude(-1.5) == 0.0
-
-    def test_real_spectrum_flag_tolerates_global_phase(self):
-        w = np.linspace(-4, 4, 2001)
-        a = np.exp(-(w**2)) * np.exp(1j * 0.77)
-        assert TabulatedSpectrumPulse(w, a).is_real_spectrum
-        chirped = np.exp(-(w**2)) * np.exp(1j * 0.3 * w**2)
-        assert not TabulatedSpectrumPulse(w, chirped).is_real_spectrum
 
 
 class TestMediumProfile:
@@ -149,11 +137,6 @@ class TestMediumProfile:
 
 
 class TestAtomParams:
-    def test_conversions_invert(self):
-        atom = AtomParams(gamma=2.5e6)
-        assert atom.to_physical_time(1.0) == pytest.approx(4e-7)
-        assert atom.to_physical_frequency(0.5) == pytest.approx(1.25e6)
-
     def test_rejects_nonpositive_gamma(self):
         with pytest.raises(InvalidParameterError):
             AtomParams(0.0)

@@ -109,11 +109,6 @@ class TestClosedForms:
         p_t, _ = spectral.transmission_probability(NarrowBandPulse(d), make_uniform_medium(od0))
         assert p_t == pytest.approx(math.exp(-od0 * spectral.lorentzian(d)), rel=1e-14)
 
-    def test_both_transmitted_time_routes_agree(self):
-        for sigma, d, od0 in ((1.0, 0.0, 2.0), (0.2, 1.1, 8.0), (4.0, -0.3, 0.7)):
-            kernel, weighted = spectral.tau_T_forms(GaussianPulse(sigma, d), make_uniform_medium(od0))
-            assert kernel == pytest.approx(weighted, abs=5e-13)
-
     def test_scattered_delay_matches_tau_s(self):
         for sigma, d, od0 in ((1.0, 0.0, 1.0), (0.3, 0.8, 6.0)):
             p, m = GaussianPulse(sigma, d), make_uniform_medium(od0)
