@@ -5,8 +5,17 @@ propagation is exact; the local atom coupling is applied as an exact 2x2 matrix
 exponential on the half steps. The backward pass uses the exact adjoint of the
 forward step, which keeps the forward/backward overlap constant to rounding.
 
-The domain is sized so nothing ever crosses a boundary: the right edge lies
-beyond the light cone of the run, the left edge holds the full initial pulse.
+The field is stored in the co-moving frame: lab cell i at step n lives at
+retarded index max_steps + i - n of one array, so free flight is an index
+offset rather than a copy, and each half step reads and writes only the n_med
+cells under the medium. The work per step is O(n_med); the stored beta
+histories still take O(steps * n_med) memory, and GridSpec rejects a grid
+whose two histories would exceed MAX_HISTORY_BYTES.
+
+The domain is sized so the forward run loses nothing at a boundary: the right
+edge lies beyond the light cone of the run, the left edge holds the full
+initial pulse. The backward run may carry some of the post-selected field out
+through the left edge; the recorded alpha norm counts only what is on the grid.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ from .errors import (
 )
 
 RESIDUAL_TOL = 1e-8  # stop once the excited norm has decayed to this fraction of its peak
+MAX_HISTORY_BYTES = 2e9  # refuse grids whose forward + backward beta histories exceed this
 
 
 def _time_amplitude(pulse: PulseSpec, t):
@@ -74,6 +84,7 @@ class GridSpec:
     n_med: int
     t_start: float
     max_steps: int
+    t_half: float  # pulse support: |alpha_in(t)| < TAIL_CUT * peak beyond +-t_half
     snap_every: int = 1
 
     def __post_init__(self):
@@ -81,6 +92,12 @@ class GridSpec:
             raise InvalidParameterError(f"medium needs >= 50 cells, got {self.n_med}")
         if self.max_steps < 1:
             raise InvalidParameterError("max_steps must be positive")
+        history = 2 * self.max_steps * self.n_med * np.dtype(complex).itemsize
+        if history > MAX_HISTORY_BYTES:
+            raise InvalidParameterError(
+                f"grid of {self.n_med} medium cells x {self.max_steps} steps needs about "
+                f"{history / 1e9:.1f} GB of beta history (limit {MAX_HISTORY_BYTES / 1e9:.0f} GB); "
+                "coarsen the grid or use a longer pulse")
 
     @property
     def dt(self):
@@ -103,10 +120,10 @@ class GridSpec:
         if cells_per_medium < 50:
             raise InvalidParameterError(f"medium needs >= 50 cells, got {cells_per_medium}")
         length = medium.length
-        sigma = pulse.sigma if isinstance(pulse, GaussianPulse) else _support_halfwidth(pulse) / 6.0
+        t_half = float(_support_halfwidth(pulse))
+        sigma = pulse.sigma if isinstance(pulse, GaussianPulse) else t_half / 6.0
         n_med = max(int(cells_per_medium), int(math.ceil(length * samples_per_sigma / sigma)))
         dz = length / n_med
-        t_half = _support_halfwidth(pulse)
         m_lead = int(math.ceil(t_half / dz)) + 2  # pulse center to medium entrance
         m_hold = int(math.ceil(t_half / dz)) + 2  # entrance to left edge
         t_start = -m_lead * dz
@@ -117,8 +134,8 @@ class GridSpec:
         n_right = max_steps + 2
         n_cells = m_lead + m_hold + n_med + n_right
         snap_every = max(1, max_steps // 40)
-        return cls(dz=dz, z_min=z_min, n_cells=n_cells, i_med0=m_lead + m_hold,
-                   n_med=n_med, t_start=t_start, max_steps=max_steps, snap_every=snap_every)
+        return cls(dz=dz, z_min=z_min, n_cells=n_cells, i_med0=m_lead + m_hold, n_med=n_med,
+                   t_start=t_start, max_steps=max_steps, t_half=t_half, snap_every=snap_every)
 
 
 @dataclass
@@ -147,12 +164,14 @@ class FieldHistory:
         return self.times.size
 
 
-def _coupling_halfstep(medium: MediumProfile, grid: GridSpec):
+def _coupling_halfstep(medium: MediumProfile, grid: GridSpec, sign: float):
     """Exact 2x2 matrix exponential of the local coupling over dt/2.
 
-    Returns real coefficient arrays (a11, a12, a22) over the medium cells; the
-    half-step maps (alpha, beta) -> (a11 a + i a12 b, i a12 a + a22 b), and its
-    exact adjoint is the same map with a12 negated.
+    Returns complex coefficient arrays (a11, sign i a12, a22) over the medium
+    cells, for _apply_half; the half-step maps (alpha, beta) ->
+    (a11 a + i a12 b, i a12 a + a22 b) with sign = +1, and its exact adjoint is
+    the same map with sign = -1. The real a11, a22 are stored as complex so that
+    no step pays for the cast.
     """
     h = grid.dt / 2.0
     zc = grid.z_centers[grid.i_med0:grid.i_med0 + grid.n_med]
@@ -168,13 +187,46 @@ def _coupling_halfstep(medium: MediumProfile, grid: GridSpec):
     a11 = damp * (c + st / 4.0)
     a12 = damp * g * st
     a22 = damp * (c - st / 4.0)
-    return a11, a12, a22
+    return a11.astype(complex), sign * 1j * a12, a22.astype(complex)
 
 
-def _apply_half(alpha_med, beta, a11, a12, a22, sign):
-    na = a11 * alpha_med + sign * 1j * a12 * beta
-    nb = sign * 1j * a12 * alpha_med + a22 * beta
+def _apply_half(alpha_med, beta, a11, ia12, a22):
+    na = a11 * alpha_med + ia12 * beta
+    nb = ia12 * alpha_med + a22 * beta
     return na, nb
+
+
+def _norm2(x):
+    return float(np.vdot(x, x).real)
+
+
+def _step(field, k, beta, coef, shift):
+    """One step in the co-moving frame: a half step on the medium window
+    field[k:k + n_med], free flight (the window moves by shift), a second half
+    step. Returns the new beta and the change of the field's norm, all of which
+    happens in the window."""
+    nm = beta.size
+    d_norm = 0.0
+    for j in (k, k + shift):
+        am = field[j:j + nm]
+        before = _norm2(am)
+        am, beta = _apply_half(am, beta, *coef)
+        field[j:j + nm] = am
+        d_norm += _norm2(am) - before
+    return beta, d_norm
+
+
+def _initial_field(pulse: PulseSpec, grid: GridSpec):
+    """Lab-frame field at t_start. A tabulated spectrum is synthesised only on the
+    cells of its support (plus a two-cell margin); outside it the pulse is below
+    TAIL_CUT of its peak, and those cells are zero."""
+    t = grid.t_start - grid.z_centers
+    if not isinstance(pulse, TabulatedSpectrumPulse):
+        return np.asarray(_time_amplitude(pulse, t), dtype=complex)
+    alpha = np.zeros(t.size, dtype=complex)
+    inside = np.abs(t) <= grid.t_half + 2 * grid.dz
+    alpha[inside] = _time_amplitude(pulse, t[inside])
+    return alpha
 
 
 def integrate_forward(pulse: PulseSpec, medium: MediumProfile, grid: GridSpec | None = None):
@@ -183,82 +235,79 @@ def integrate_forward(pulse: PulseSpec, medium: MediumProfile, grid: GridSpec | 
         grid = GridSpec.build(pulse, medium)
     dz = grid.dz
     dt = grid.dt
-    i0, nm = grid.i_med0, grid.n_med
+    nm, ms, nc = grid.n_med, grid.max_steps, grid.n_cells
     zc = grid.z_centers
-    alpha = np.asarray(_time_amplitude(pulse, grid.t_start - zc), dtype=complex)
+    # Co-moving frame: lab cell i at step n is field[ms + i - n], so free flight
+    # is the index offset and each half step touches only the medium window.
+    field = np.zeros(ms + nc, dtype=complex)
+    field[ms:] = _initial_field(pulse, grid)
     beta = np.zeros(nm, dtype=complex)
-    a11, a12, a22 = _coupling_halfstep(medium, grid)
+    coef = _coupling_halfstep(medium, grid, 1.0)
 
-    w = np.abs(alpha) ** 2
-    na0 = dz * float(w.sum())
+    w = np.abs(field[ms:]) ** 2
+    na = dz * float(w.sum())
     input_com = float((w * (grid.t_start - zc)).sum() / w.sum())
 
     times = [grid.t_start]
-    beta_rows = [beta.copy()]
-    alpha_norms = [na0]
+    beta_rows = np.empty((ms + 1, nm), dtype=complex)  # rows past the last step stay untouched
+    beta_rows[0] = beta
+    alpha_norms = [na]
     beta_norms = [0.0]
     scattered = [0.0]
-    monitor = [alpha[grid.i_monitor]]
     snap_steps = [0]
-    snaps = [alpha.copy()]
-    buf = np.empty_like(alpha)
+    snaps = [field[ms:].copy()]
 
-    t_half = _support_halfwidth(pulse)
-    t_min_end = medium.length + t_half + 4 * dz
+    t_min_end = medium.length + grid.t_half + 4 * dz
     peak_beta = 0.0
     book_dev = 0.0
-    done = False
-    for n in range(1, grid.max_steps + 1):
-        am = alpha[i0:i0 + nm]
-        am, beta = _apply_half(am, beta, a11, a12, a22, +1.0)
-        alpha[i0:i0 + nm] = am
-        buf[1:] = alpha[:-1]
-        buf[0] = 0.0
-        alpha, buf = buf, alpha
-        am = alpha[i0:i0 + nm]
-        am, beta = _apply_half(am, beta, a11, a12, a22, +1.0)
-        alpha[i0:i0 + nm] = am
+    k = ms + grid.i_med0  # start of the medium window at step n - 1
+    for n in range(1, ms + 1):
+        beta, d_norm = _step(field, k, beta, coef, -1)
+        k -= 1
+        na += dz * d_norm
 
         t = grid.t_start + n * dt
-        na = dz * float(np.vdot(alpha, alpha).real)
-        nb = dz * float(np.vdot(beta, beta).real)
+        nb = dz * _norm2(beta)
         scat = scattered[-1] + dt * 0.5 * (beta_norms[-1] + nb)  # Gamma = 1
         times.append(t)
-        beta_rows.append(beta.copy())
+        beta_rows[n] = beta
         alpha_norms.append(na)
         beta_norms.append(nb)
         scattered.append(scat)
-        monitor.append(alpha[grid.i_monitor])
         if n % grid.snap_every == 0:
             snap_steps.append(n)
-            snaps.append(alpha.copy())
+            snaps.append(field[ms - n:ms - n + nc].copy())
         book_dev = max(book_dev, abs(na + nb + scat - 1.0))
         peak_beta = max(peak_beta, nb)
         if t >= t_min_end and nb <= RESIDUAL_TOL * peak_beta:
-            done = True
             break
-    if not done:
+    else:
         raise NumericError(
-            f"excited norm did not settle below {RESIDUAL_TOL} of peak within {grid.max_steps} steps")
+            f"excited norm did not settle below {RESIDUAL_TOL} of peak within {ms} steps")
+    final_alpha = field[ms - n:ms - n + nc]
     if snap_steps[-1] != n:
         snap_steps.append(n)
-        snaps.append(alpha.copy())
+        snaps.append(final_alpha.copy())
+    alpha_norms[-1] = dz * _norm2(final_alpha)  # exact, and >= 0 in opaque media
     p_t = alpha_norms[-1] + beta_norms[-1]
+    # a cell right of the window never changes again, so the monitor's series
+    # (lab cell i_monitor at steps 0..n) is one reversed offset view
+    i_mon = ms + grid.i_monitor
     return FieldHistory(
         grid=grid,
         direction="forward",
         times=np.array(times),
-        beta=np.array(beta_rows),
+        beta=beta_rows[:n + 1],
         alpha_norm=np.array(alpha_norms),
         beta_norm=np.array(beta_norms),
         scattered_cum=np.array(scattered),
         snap_steps=np.array(snap_steps),
         snap_alpha=np.array(snaps),
-        final_alpha=alpha,
+        final_alpha=final_alpha,
         final_beta=beta.copy(),
         p_t=float(p_t),
         input_com=input_com,
-        monitor=np.array(monitor),
+        monitor=field[i_mon - n:i_mon + 1][::-1].copy(),
         bookkeeping_dev=book_dev,
     )
 
@@ -274,45 +323,44 @@ def integrate_backward(forward: FieldHistory, medium: MediumProfile):
     grid = forward.grid
     if not forward.p_t > 0:
         raise UndefinedConditionalError("transmission post-selection needs P_T > 0")
-    dz, dt = grid.dz, grid.dt
-    i0, nm = grid.i_med0, grid.n_med
-    root = math.sqrt(forward.p_t)
-    alpha = forward.final_alpha.astype(complex) / root
-    beta = np.zeros(nm, dtype=complex)
-    a11, a12, a22 = _coupling_halfstep(medium, grid)
-
+    dz = grid.dz
+    nm, ms, nc = grid.n_med, grid.max_steps, grid.n_cells
     n_rec = forward.n_rec
+    n_end = n_rec - 1
+    root = math.sqrt(forward.p_t)
+    # same co-moving layout as the forward pass; the window now moves right
+    field = np.zeros(ms + nc, dtype=complex)
+    field[ms - n_end:ms - n_end + nc] = forward.final_alpha / root
+    beta = np.zeros(nm, dtype=complex)
+    coef = _coupling_halfstep(medium, grid, -1.0)
+
     beta_rows = np.empty((n_rec, nm), dtype=complex)
     alpha_norms = np.empty(n_rec)
     beta_norms = np.empty(n_rec)
-    beta_rows[n_rec - 1] = beta
-    alpha_norms[n_rec - 1] = dz * float(np.vdot(alpha, alpha).real)
-    beta_norms[n_rec - 1] = 0.0
+    beta_rows[n_end] = beta
+    na = dz * _norm2(field[ms - n_end:ms - n_end + nc])
+    alpha_norms[n_end] = na
+    beta_norms[n_end] = 0.0
     snap_lookup = {int(s): k for k, s in enumerate(forward.snap_steps)}
     overlaps = np.full(forward.snap_steps.size, np.nan + 0j, dtype=complex)
-    buf = np.empty_like(alpha)
 
     def record_overlap(step_idx):
         k = snap_lookup.get(step_idx)
         if k is None:
             return
+        alpha = field[ms - step_idx:ms - step_idx + nc]
         ov = np.vdot(alpha, forward.snap_alpha[k]) + np.vdot(beta, forward.beta[step_idx])
         overlaps[k] = dz * ov
 
-    record_overlap(n_rec - 1)
-    for n in range(n_rec - 2, -1, -1):
-        am = alpha[i0:i0 + nm]
-        am, beta = _apply_half(am, beta, a11, a12, a22, -1.0)
-        alpha[i0:i0 + nm] = am
-        buf[:-1] = alpha[1:]
-        buf[-1] = 0.0
-        alpha, buf = buf, alpha
-        am = alpha[i0:i0 + nm]
-        am, beta = _apply_half(am, beta, a11, a12, a22, -1.0)
-        alpha[i0:i0 + nm] = am
+    record_overlap(n_end)
+    k = ms + grid.i_med0 - n_end  # start of the medium window at step n + 1
+    for n in range(n_end - 1, -1, -1):
+        beta, d_norm = _step(field, k, beta, coef, 1)
+        k += 1
+        na += dz * (d_norm - abs(field[ms - n - 1]) ** 2)  # lab cell 0 left the grid
         beta_rows[n] = beta
-        alpha_norms[n] = dz * float(np.vdot(alpha, alpha).real)
-        beta_norms[n] = dz * float(np.vdot(beta, beta).real)
+        alpha_norms[n] = na
+        beta_norms[n] = dz * _norm2(beta)
         record_overlap(n)
     return FieldHistory(
         grid=grid,
@@ -323,8 +371,8 @@ def integrate_backward(forward: FieldHistory, medium: MediumProfile):
         beta_norm=beta_norms,
         scattered_cum=np.zeros(n_rec),
         snap_steps=forward.snap_steps.copy(),
-        snap_alpha=np.empty((0, grid.n_cells)),
-        final_alpha=alpha,
+        snap_alpha=np.empty((0, nc)),
+        final_alpha=field[ms:ms + nc],
         final_beta=beta.copy(),
         p_t=forward.p_t,
         overlap=overlaps,
@@ -423,8 +471,7 @@ def tau_S_oracle(forward: FieldHistory, medium: MediumProfile, *, kernel_tail=1e
         raise OracleBudgetError(
             f"estimated {est_gmacs:.1f} GMACs exceeds budget {max_gmacs}; coarsen the grid")
 
-    a11, a12, a22 = _coupling_halfstep(medium, grid)
-    c11, c12, c22 = a11[:, None], a12[:, None], a22[:, None]
+    c11, c12, c22 = (c[:, None] for c in _coupling_halfstep(medium, grid, -1.0))
     b = np.eye(nm, dtype=complex) / dz  # beta kernel, columns indexed by event cell Z
     a = np.zeros((nm, nm), dtype=complex)
     norm0 = float(np.linalg.norm(b))
@@ -437,7 +484,7 @@ def tau_S_oracle(forward: FieldHistory, medium: MediumProfile, *, kernel_tail=1e
             break
         # one backward step of the kernel, restricted to the medium (exact there:
         # the post-selected field never re-enters from either side)
-        a, b = _apply_half(a, b, c11, c12, c22, -1.0)
+        a, b = _apply_half(a, b, c11, c12, c22)
         a = np.vstack([a[1:], np.zeros((1, nm), dtype=complex)])
-        a, b = _apply_half(a, b, c11, c12, c22, -1.0)
+        a, b = _apply_half(a, b, c11, c12, c22)
     return float((dt * dt * dz * dz / p_s_td) * acc.real)  # Gamma = 1

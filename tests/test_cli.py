@@ -200,8 +200,15 @@ kind = timedomain
             header, rows = read_rows(out)
             assert float(rows[0][header.index("tau_S")]) == 1.0
 
+    def test_timedomain_grid_too_large_exits_4(self, tmp_path, capsys):
+        # refused by GridSpec before any field or history is allocated
+        cfg = write(tmp_path, "[pulse]\nkind = gaussian\nsigma = 0.01\n"
+                              "[medium]\nod0 = 2.0\n[engine]\nkind = timedomain\n")
+        assert cli.main(["run", cfg]) == 4
+        assert "beta history" in capsys.readouterr().err
+
     def test_numeric_failure_exits_3(self, tmp_path):
-        # impossible quadrature tolerance drives the doubling past its cap
+        # a tolerance below machine epsilon is refused by converge_trapezoid
         cfg = write(tmp_path, BASE + "\n[quadrature]\ntol = 1e-30\n")
         assert cli.main(["run", cfg]) == 3
 

@@ -16,6 +16,7 @@ from dwelltime.domain import (
     NarrowBandPulse,
     TabulatedSpectrumPulse,
     make_gaussian_pulse,
+    make_tabulated_medium,
     make_uniform_medium,
 )
 from dwelltime.errors import (
@@ -44,6 +45,12 @@ class TestGridSpec:
     def test_rejects_coarse_medium(self):
         with pytest.raises(InvalidParameterError):
             timedomain.GridSpec.build(PULSE, MEDIUM, cells_per_medium=10)
+
+    def test_rejects_grid_beyond_history_budget(self):
+        # a 0.01-wide pulse needs 5000 medium cells for 230k steps: about 37 GB of
+        # beta history, refused before anything is allocated
+        with pytest.raises(InvalidParameterError, match="beta history"):
+            timedomain.GridSpec.build(GaussianPulse(0.01), MEDIUM)
 
     def test_geometry(self):
         grid = timedomain.GridSpec.build(PULSE, MEDIUM)
@@ -200,3 +207,22 @@ def test_tabulated_pulse_integrates():
     fwd = timedomain.integrate_forward(tab, medium, grid)
     p_ref, _ = spectral.transmission_probability(ref, medium)
     assert fwd.p_t == pytest.approx(p_ref, rel=1e-3)
+    # the same value as a synthesis over every cell of the grid: the cells outside
+    # the pulse's support hold nothing above rounding
+    assert fwd.p_t == pytest.approx(0.5379848359026396, rel=1e-12)
+
+
+def test_ramped_medium_numbers_pinned():
+    """A detuned pulse through a non-uniform g(z): an off-by-one in the offset of the
+    medium window moves every one of these numbers, which a uniform medium would hide."""
+    pulse = GaussianPulse(0.7, 0.4)
+    medium = make_tabulated_medium(np.linspace(0.0, 1.0, 5), [0.3, 0.6, 0.9, 1.2, 0.8])
+    grid = timedomain.GridSpec.build(pulse, medium, cells_per_medium=80)
+    fwd = timedomain.integrate_forward(pulse, medium, grid)
+    bwd = timedomain.integrate_backward(fwd, medium)
+    transmitted, _ = timedomain.com_delays(fwd, include_scattered=False)
+    assert fwd.p_t == pytest.approx(0.33321824227977986, rel=1e-12)
+    assert timedomain.tau_T_td(fwd, bwd) == pytest.approx(0.07507825001187099, rel=1e-12)
+    assert timedomain.tau_avg_td(fwd) == pytest.approx(0.6667855853902833, rel=1e-12)
+    assert transmitted == pytest.approx(0.07509576177744687, rel=1e-12)
+    assert float(np.abs(fwd.beta).sum()) == pytest.approx(11754.654278669655, rel=1e-12)
