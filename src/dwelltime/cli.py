@@ -39,7 +39,6 @@ from .errors import (
     DwellTimeError,
     InvalidParameterError,
     NumericError,
-    OracleBudgetError,
     UndefinedConditionalError,
     UnsupportedVariantError,
 )
@@ -554,7 +553,7 @@ def main(argv=None):
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
     except (InvalidParameterError, DomainError, UnsupportedVariantError,
-            UndefinedConditionalError, OracleBudgetError) as exc:
+            UndefinedConditionalError) as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
         return 4
     except DwellTimeError as exc:  # any other library failure

@@ -25,9 +25,5 @@ class NumericError(DwellTimeError):
     """Quadrature or integration failed to reach the requested tolerance."""
 
 
-class OracleBudgetError(DwellTimeError):
-    """The brute-force oracle would exceed its configured resource budget."""
-
-
 class ConfigError(DwellTimeError):
     """A config file could not be parsed or contains unknown/invalid entries."""

@@ -38,7 +38,6 @@ from .domain import (
 from .errors import (
     InvalidParameterError,
     NumericError,
-    OracleBudgetError,
     UndefinedConditionalError,
     UnsupportedVariantError,
 )
@@ -386,8 +385,10 @@ def weak_trace(forward: FieldHistory, backward: FieldHistory, probe: WeakProbeCo
     if forward.n_rec != backward.n_rec or forward.grid is not backward.grid:
         raise InvalidParameterError("histories were not computed on the same grid/run")
     dz = forward.grid.dz
-    cross = np.sum(np.conj(backward.beta) * forward.beta, axis=1) * dz
-    phi = probe.epsilon / math.sqrt(forward.p_t) * cross.real
+    bb, fb = backward.beta, forward.beta
+    # Re(conj(b) f) summed over cells, on real/imag views: no full-size temporaries
+    cross = (np.einsum("ij,ij->i", bb.real, fb.real) + np.einsum("ij,ij->i", bb.imag, fb.imag)) * dz
+    phi = probe.epsilon / math.sqrt(forward.p_t) * cross
     return forward.times, phi
 
 
@@ -449,42 +450,45 @@ def delay_report_td(pulse: PulseSpec, medium: MediumProfile, grid: GridSpec | No
     )
 
 
-def tau_S_oracle(forward: FieldHistory, medium: MediumProfile, *, kernel_tail=1e-10, max_gmacs=2000.0):
-    """Brute-force scattered dwell time, averaging the conditional weak value
-    over every scattering event (position Z, time T), weighted by its rate.
+def tau_S_oracle(forward: FieldHistory, medium: MediumProfile):
+    """Scattered dwell time from events: the conditional weak value averaged over
+    every scattering event (position Z, time T), weighted by its rate.
 
-    Scales with (steps x kernel lags x medium cells^2); meant for coarse grids.
+    The weak value of an event needs the post-selected field evolved back from
+    it, a kernel that the adjoint step U carries across the medium.
+    Summed over events and lags k, the estimate is sum_k w_k sum_n
+    <beta(U^k (0, f[n+k] / dz)), f[n]> with f the forward beta history and the
+    trapezoid weights w_0 = 1/2, w_k = 1. Horner's rule in the lag folds this
+    into one backward recursion over vectors,
+
+        S_n = U S_{n+1} + (0, f[n] / dz),
+
+    so the cost is O(steps * n_med), less than the forward pass whose history
+    it reads. The recursion sums every lag; the kernel decays as exp(-k dt / 2),
+    so lags past its 1e-10 tail, which a truncated sum would drop, change the
+    result only at rounding. The route reads only the forward beta history and
+    the adjoint step, and so stays independent of the spectral engine.
     """
     grid = forward.grid
     dz, dt = grid.dz, grid.dt
     nm = grid.n_med
     f = forward.beta  # (n_rec, nm)
     n_rec = f.shape[0]
-    p_s_td = dt * dz * float(np.sum(np.abs(f) ** 2))
+    f2 = float(np.vdot(f, f).real)
+    p_s_td = dt * dz * f2
     if p_s_td <= 0.0:
         raise UndefinedConditionalError("nothing scatters; conditional time undefined")
 
-    # kernel norm decays ~exp(-lag*dt/2) going backward; bound the lag count
-    k_max_est = min(n_rec - 1, int(math.ceil(2.0 * math.log(1.0 / kernel_tail) / dt)))
-    est_gmacs = k_max_est * n_rec * nm * nm / 1e9
-    if est_gmacs > max_gmacs:
-        raise OracleBudgetError(
-            f"estimated {est_gmacs:.1f} GMACs exceeds budget {max_gmacs}; coarsen the grid")
-
-    c11, c12, c22 = (c[:, None] for c in _coupling_halfstep(medium, grid, -1.0))
-    b = np.eye(nm, dtype=complex) / dz  # beta kernel, columns indexed by event cell Z
-    a = np.zeros((nm, nm), dtype=complex)
-    norm0 = float(np.linalg.norm(b))
-    acc = 0.0 + 0.0j
-    for k in range(k_max_est + 1):
-        ck = f[k:].conj().T @ f[: n_rec - k]  # (Z, z) correlation at this lag
-        weight = 0.5 if k == 0 else 1.0
-        acc += weight * np.vdot(b, ck.T)
-        if float(np.linalg.norm(b)) + float(np.linalg.norm(a)) < kernel_tail * norm0:
-            break
-        # one backward step of the kernel, restricted to the medium (exact there:
-        # the post-selected field never re-enters from either side)
-        a, b = _apply_half(a, b, c11, c12, c22)
-        a = np.vstack([a[1:], np.zeros((1, nm), dtype=complex)])
-        a, b = _apply_half(a, b, c11, c12, c22)
+    # the kernel's alpha part in a co-moving buffer: its medium window moves one
+    # cell right per adjoint step (restricted to the medium, which is exact there:
+    # the post-selected field never re-enters from either side)
+    coef = _coupling_halfstep(medium, grid, -1.0)
+    field = np.zeros(n_rec + nm, dtype=complex)
+    s_beta = f[n_rec - 1] / dz
+    acc = np.vdot(s_beta, f[n_rec - 1])
+    for n in range(n_rec - 2, -1, -1):
+        s_beta, _ = _step(field, n_rec - 2 - n, s_beta, coef, 1)
+        s_beta += f[n] / dz
+        acc += np.vdot(s_beta, f[n])
+    acc -= 0.5 * f2 / dz  # the lag-0 trapezoid weight
     return float((dt * dt * dz * dz / p_s_td) * acc.real)  # Gamma = 1

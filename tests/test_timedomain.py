@@ -21,7 +21,6 @@ from dwelltime.domain import (
 )
 from dwelltime.errors import (
     InvalidParameterError,
-    OracleBudgetError,
     UndefinedConditionalError,
     UnsupportedVariantError,
 )
@@ -191,11 +190,21 @@ class TestScatteredOracle:
         fwd, medium = coarse
         got = timedomain.tau_S_oracle(fwd, medium)
         assert got == pytest.approx(spectral.tau_S(PULSE, medium), rel=1e-2)
+        assert got == pytest.approx(1.2832436043183157, rel=1e-12)
 
-    def test_budget_guard(self, coarse):
-        fwd, medium = coarse
-        with pytest.raises(OracleBudgetError):
-            timedomain.tau_S_oracle(fwd, medium, max_gmacs=1e-6)
+    def test_converges_under_refinement(self):
+        # the gap to the spectral tau_S shrinks at second order in dz, like the
+        # step-halving ratios of the time-domain cross-validation
+        pulse = GaussianPulse(1.0, 0.3)
+        medium = make_uniform_medium(2.0)
+        ref = spectral.tau_S(pulse, medium)
+        gaps = []
+        for cells in (60, 120):
+            grid = timedomain.GridSpec.build(pulse, medium, cells_per_medium=cells)
+            fwd = timedomain.integrate_forward(pulse, medium, grid)
+            gaps.append(abs(timedomain.tau_S_oracle(fwd, medium) - ref) / ref)
+        assert gaps[0] < 1e-4
+        assert 2.0 <= gaps[0] / gaps[1] <= 10.0
 
 
 def test_tabulated_pulse_integrates():
@@ -214,7 +223,8 @@ def test_tabulated_pulse_integrates():
 
 def test_ramped_medium_numbers_pinned():
     """A detuned pulse through a non-uniform g(z): an off-by-one in the offset of the
-    medium window moves every one of these numbers, which a uniform medium would hide."""
+    medium window (or of the oracle's kernel window) moves every one of these numbers,
+    which a uniform medium would hide."""
     pulse = GaussianPulse(0.7, 0.4)
     medium = make_tabulated_medium(np.linspace(0.0, 1.0, 5), [0.3, 0.6, 0.9, 1.2, 0.8])
     grid = timedomain.GridSpec.build(pulse, medium, cells_per_medium=80)
@@ -226,3 +236,4 @@ def test_ramped_medium_numbers_pinned():
     assert timedomain.tau_avg_td(fwd) == pytest.approx(0.6667855853902833, rel=1e-12)
     assert transmitted == pytest.approx(0.07509576177744687, rel=1e-12)
     assert float(np.abs(fwd.beta).sum()) == pytest.approx(11754.654278669655, rel=1e-12)
+    assert timedomain.tau_S_oracle(fwd, medium) == pytest.approx(0.9624931866542472, rel=1e-12)
