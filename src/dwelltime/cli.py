@@ -14,9 +14,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import io
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -297,25 +295,9 @@ def cmd_run(args):
 # --- sweeps ----------------------------------------------------------------
 
 def _worker_count():
-    raw = os.environ.get("DWELLTIME_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"DWELLTIME_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ConfigError(f"DWELLTIME_THREADS must be >= 1, got {n}")
-    return n
-
-
-def _thread_map(fn, items):
-    """Map preserving item order; concurrency bounded by DWELLTIME_THREADS."""
-    workers = min(_worker_count(), max(len(items), 1))
-    if workers == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
+    """Points run one after another, so one worker. Read only by the benchmark's
+    machine record (perfbench/worker.py)."""
+    return 1
 
 
 def _sweep_scenario(scenario: Scenario, sweep: SweepSpec, value):
@@ -345,17 +327,9 @@ def cmd_sweep(args):
     cp = load_config(args.config)
     scenario = scenario_from_config(cp)
     sweep = sweep_from_config(cp)
-    values = sweep.values()
-    # fail on a bad axis/template combination before spawning workers
-    _sweep_scenario(scenario, sweep, float(values[0]))
-
-    def point(value):
-        return run_scenario(_sweep_scenario(scenario, sweep, float(value)))
-
-    results = _thread_map(point, [float(v) for v in values])
     rows = []
-    for value, reports in zip(values, results):
-        for rep in reports:
+    for value in sweep.values():
+        for rep in run_scenario(_sweep_scenario(scenario, sweep, float(value))):
             rows.append([float(value)] + [rep.as_dict()[k] for k in REPORT_FIELDS])
     comments = list(REPORT_COMMENTS) + [
         _scenario_comment(scenario),
@@ -377,13 +351,11 @@ def _fig2_dataset():
     od_grid = np.linspace(0.0, 30.0, 121)
     header = ["od0", "tau_T_narrowband"] + [f"tau_T_sigma_{s:g}" for s in FIG2_SIGMAS]
     pulses = [GaussianPulse(s, 0.0) for s in FIG2_SIGMAS]
-
-    def point(od0):
+    rows = []
+    for od0 in od_grid:
         m = make_uniform_medium(float(od0))
-        return [float(od0), spectral.group_delay(0.0, m.od0)] + [
-            spectral.tau_T(p, m) for p in pulses]
-
-    rows = _thread_map(point, list(od_grid))
+        rows.append([float(od0), spectral.group_delay(0.0, m.od0)] + [
+            spectral.tau_T(p, m) for p in pulses])
     comments = [
         "transmitted dwell time tau_T vs resonant optical depth at zero detuning",
         "tau_T: weak value of the excited-state occupation conditioned on transmission;"
@@ -428,17 +400,16 @@ def _fig4_dataset():
     for s in sigmas:
         header += [f"tau_T_sigma_{s:g}", f"tau_S_sigma_{s:g}"]
 
-    def point(target):
-        nb = NarrowBandPulse(0.0)
+    nb = NarrowBandPulse(0.0)
+    rows = []
+    for target in od_eff:
         m_nb = make_uniform_medium(float(target))  # od_eff = od0 on resonance
         row = [float(target), spectral.tau_T(nb, m_nb), spectral.tau_S(nb, m_nb)]
         for s in sigmas:
             p = GaussianPulse(s, 0.0)
             m = make_uniform_medium(spectral.invert_od_eff(p, float(target)))
             row += [spectral.tau_T(p, m), spectral.tau_S(p, m)]
-        return row
-
-    rows = _thread_map(point, list(od_eff))
+        rows.append(row)
     comments = [
         "conditional dwell times vs effective optical depth od_eff = -ln P_T, zero detuning",
         "per pulse bandwidth: resonant od0 solved from od_eff by bisection on monotone P_T(od0)",
@@ -454,16 +425,16 @@ def _fig_asym_dataset(which):
     pulse = GaussianPulse(sigma, 0.0)
     od_eff = np.geomspace(0.005, 10.0, 60)
 
-    def point(target):
+    rows = []
+    for target in od_eff:
         m = make_uniform_medium(spectral.invert_od_eff(pulse, float(target)))
         asym = spectral.asymptotics(pulse, m)
         if which == "F":
-            return [float(target), m.od0, spectral.tau_S(pulse, m),
-                    asym.tau_s_low_od, asym.tau_s_high_od]
-        return [float(target), m.od0, spectral.tau_T(pulse, m),
-                asym.tau_t_low_od, asym.tau_t_high_od]
-
-    rows = _thread_map(point, list(od_eff))
+            rows.append([float(target), m.od0, spectral.tau_S(pulse, m),
+                         asym.tau_s_low_od, asym.tau_s_high_od])
+        else:
+            rows.append([float(target), m.od0, spectral.tau_T(pulse, m),
+                         asym.tau_t_low_od, asym.tau_t_high_od])
     if which == "F":
         header = ["od_eff", "od0", "tau_S_exact", "tau_S_dilute", "tau_S_dense"]
         comments = [

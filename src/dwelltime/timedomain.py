@@ -202,17 +202,13 @@ def _norm2(x):
 def _step(field, k, beta, coef, shift):
     """One step in the co-moving frame: a half step on the medium window
     field[k:k + n_med], free flight (the window moves by shift), a second half
-    step. Returns the new beta and the change of the field's norm, all of which
-    happens in the window."""
+    step. Returns the new beta; the field changes only on the n_med + 1 cells
+    that the two windows cover."""
     nm = beta.size
-    d_norm = 0.0
     for j in (k, k + shift):
-        am = field[j:j + nm]
-        before = _norm2(am)
-        am, beta = _apply_half(am, beta, *coef)
+        am, beta = _apply_half(field[j:j + nm], beta, *coef)
         field[j:j + nm] = am
-        d_norm += _norm2(am) - before
-    return beta, d_norm
+    return beta
 
 
 def _initial_field(pulse: PulseSpec, grid: GridSpec):
@@ -261,9 +257,11 @@ def integrate_forward(pulse: PulseSpec, medium: MediumProfile, grid: GridSpec | 
     book_dev = 0.0
     k = ms + grid.i_med0  # start of the medium window at step n - 1
     for n in range(1, ms + 1):
-        beta, d_norm = _step(field, k, beta, coef, -1)
+        covered = field[k - 1:k + nm]  # a view: both windows of this step
+        before = _norm2(covered)
+        beta = _step(field, k, beta, coef, -1)
         k -= 1
-        na += dz * d_norm
+        na += dz * (_norm2(covered) - before)
 
         t = grid.t_start + n * dt
         nb = dz * _norm2(beta)
@@ -354,9 +352,12 @@ def integrate_backward(forward: FieldHistory, medium: MediumProfile):
     record_overlap(n_end)
     k = ms + grid.i_med0 - n_end  # start of the medium window at step n + 1
     for n in range(n_end - 1, -1, -1):
-        beta, d_norm = _step(field, k, beta, coef, 1)
+        covered = field[k:k + nm + 1]  # a view: both windows of this step
+        before = _norm2(covered)
+        beta = _step(field, k, beta, coef, 1)
         k += 1
-        na += dz * (d_norm - abs(field[ms - n - 1]) ** 2)  # lab cell 0 left the grid
+        # the covered cells' change, less lab cell 0, which left the grid
+        na += dz * (_norm2(covered) - before - abs(field[ms - n - 1]) ** 2)
         beta_rows[n] = beta
         alpha_norms[n] = na
         beta_norms[n] = dz * _norm2(beta)
@@ -487,7 +488,7 @@ def tau_S_oracle(forward: FieldHistory, medium: MediumProfile):
     s_beta = f[n_rec - 1] / dz
     acc = np.vdot(s_beta, f[n_rec - 1])
     for n in range(n_rec - 2, -1, -1):
-        s_beta, _ = _step(field, n_rec - 2 - n, s_beta, coef, 1)
+        s_beta = _step(field, n_rec - 2 - n, s_beta, coef, 1)
         s_beta += f[n] / dz
         acc += np.vdot(s_beta, f[n])
     acc -= 0.5 * f2 / dz  # the lag-0 trapezoid weight

@@ -220,9 +220,12 @@ kind = timedomain
         assert cli.main(["sweep", write(tmp_path, BASE)]) == 2
 
 
+# SHA-256 of the od_eff sweep CSV in test_od_eff_sweep_hits_targets
+OD_EFF_SWEEP_SHA256 = "ca72926220c28a155800c70617b47f2aa4b5964e47a47826644b4533bb132efe"
+
+
 class TestSweepCommand:
-    def test_od0_sweep_rows_ordered(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DWELLTIME_THREADS", "2")
+    def test_od0_sweep_rows_ordered(self, tmp_path):
         out = tmp_path / "sweep.csv"
         cfg = write(tmp_path, BASE + f"""
 [output]
@@ -261,14 +264,33 @@ spacing = linear
         _, rows = read_rows(out)
         for r in rows:
             assert float(r[9]) == pytest.approx(float(r[0]), abs=1e-8)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == OD_EFF_SWEEP_SHA256
 
-    def test_thread_env_validated(self, monkeypatch):
-        monkeypatch.setenv("DWELLTIME_THREADS", "zero")
-        with pytest.raises(ConfigError):
-            cli._worker_count()
-        monkeypatch.setenv("DWELLTIME_THREADS", "0")
-        with pytest.raises(ConfigError):
-            cli._worker_count()
+    def test_od0_axis_over_profile_writes_nothing(self, tmp_path, capsys):
+        z = np.linspace(0, 1, 51)
+        prof = tmp_path / "prof.txt"
+        np.savetxt(prof, np.column_stack([z, np.full(51, 0.7)]))
+        out = tmp_path / "sweep.csv"
+        cfg = write(tmp_path, f"""
+[pulse]
+kind = gaussian
+sigma = 1.0
+
+[medium]
+profile_file = {prof}
+
+[output]
+path = {out}
+
+[sweep]
+axis = od0
+start = 0.5
+stop = 2.5
+count = 3
+""")
+        assert cli.main(["sweep", cfg]) == 2
+        assert "uniform medium" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # SHA-256 of each canned figure CSV; the README promises byte-identical output
