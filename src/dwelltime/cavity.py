@@ -46,20 +46,6 @@ class MirrorParams:
             raise InvalidParameterError("round-trip time must be positive")
 
 
-def steady_fields(params: CavityParams, omega):
-    """Per-frequency mode, reflected and transmitted amplitudes for unit drive.
-
-    |reflected|^2 + |transmitted|^2 = 1 exactly at every frequency.
-    """
-    g1, g2 = params.gamma1, params.gamma2
-    w = np.asarray(omega, dtype=float)
-    den = g1 + g2 + 2j * w
-    beta = -2.0 * math.sqrt(g1) / den
-    refl = (g2 - g1 + 2j * w) / den
-    trans = -2.0 * math.sqrt(g1 * g2) / den
-    return beta, refl, trans
-
-
 def _cavity_window(params: CavityParams, pulse: PulseSpec):
     center, half = _spectral_window(pulse)
     return center, max(half, 10.0 * (params.gamma1 + params.gamma2))
@@ -149,14 +135,6 @@ def mirror_map(params: CavityParams, tau_rt=None):
             raise InvalidParameterError(f"gamma * tau_rt / 4 = {x} >= 1 leaves no valid reflectivity")
         vals.append((1.0 - x) / (1.0 + x))
     return MirrorParams(r1=vals[0], r2=vals[1], tau_rt=float(tau_rt))
-
-
-def mirror_map_inverse(mirrors: MirrorParams):
-    """Rates reproducing the etalon reflectivities; exact inverse of mirror_map."""
-    t = mirrors.tau_rt
-    g1 = (4.0 / t) * (1.0 - mirrors.r1) / (1.0 + mirrors.r1)
-    g2 = (4.0 / t) * (1.0 - mirrors.r2) / (1.0 + mirrors.r2)
-    return CavityParams(gamma1=g1, gamma2=g2)
 
 
 def feynman_tau_B(mirrors: MirrorParams, n_terms):

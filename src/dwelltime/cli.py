@@ -100,7 +100,8 @@ class SweepSpec:
 
 
 def load_config(path):
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # values are read literally: "%" is an ordinary character, not interpolation
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
             cp.read_file(fh)
@@ -190,6 +191,8 @@ def scenario_from_config(cp):
     if v is not None:
         grid_kw["settle_time"] = v
     grid_n = _get(cp, "quadrature", "grid_n", int)
+    if grid_n is not None and not spectral.N_START <= grid_n <= spectral.N_CAP:
+        raise ConfigError(f"[quadrature] grid_n must lie in [{spectral.N_START}, {spectral.N_CAP}], got {grid_n}")
     return Scenario(
         pulse=_build_pulse(cp, gamma),
         medium=_build_medium(cp),
@@ -475,6 +478,8 @@ def cmd_figure(args):
 
 
 def cmd_validate(args):
+    if args.grid_n is not None and not 1 <= args.grid_n <= spectral.N_CAP:
+        raise ConfigError(f"--grid-n must lie in [1, {spectral.N_CAP}], got {args.grid_n}")
     results = validation.run_validation(args.profile, grid_n=args.grid_n)
     for r in results:
         print(r.line())

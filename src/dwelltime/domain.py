@@ -8,6 +8,7 @@ the physical decay rate so results can be re-dimensionalized at the boundary.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -17,6 +18,7 @@ from .errors import DomainError, InvalidParameterError
 
 # |alpha_in| support cut relative to the pulse peak, shared with the time-domain grid
 TAIL_CUT = 1e-8
+SIGMA_MAX = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -42,8 +44,9 @@ class GaussianPulse:
     detuning: float = 0.0  # carrier offset from resonance [Gamma]
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise InvalidParameterError(f"sigma must be positive, got {self.sigma}")
+        # sigma**2 enters the spectrum, so it must stay a finite float
+        if not 0 < self.sigma < SIGMA_MAX:
+            raise InvalidParameterError(f"sigma must be positive and below {SIGMA_MAX:.3g}, got {self.sigma}")
 
     def spectral_density(self, w):
         w = np.asarray(w, dtype=float)
@@ -198,17 +201,6 @@ def od_integral(medium: MediumProfile, z):
     gz = np.interp(zf, zs, gs)
     partial = (zf - zs[i]) * (gs[i] ** 2 + gs[i] * gz + gz**2) / 3.0
     return 4.0 * (cum[i] + partial)
-
-
-@dataclass(frozen=True)
-class WeakProbeConfig:
-    """Strength of the dispersive probe coupled to the excited-state population."""
-
-    epsilon: float = 1.0  # [radians/length]
-
-    def __post_init__(self):
-        if not self.epsilon > 0:
-            raise InvalidParameterError(f"epsilon must be positive, got {self.epsilon}")
 
 
 REPORT_FIELDS = ("P_T", "P_S", "tau_0", "tau_T", "tau_S", "t_g", "t_W", "t_S", "od_eff", "method")

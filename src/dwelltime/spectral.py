@@ -63,33 +63,6 @@ def medium_response(medium: MediumProfile, z, omega):
     return od, -w * od
 
 
-@dataclass(frozen=True)
-class FrequencyGrid:
-    """Uniform quadrature grid, symmetric about the pulse carrier."""
-
-    omegas: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.omegas, dtype=float)
-        n = w.size - 1  # panel count
-        if n < N_START or n % 2:
-            raise InvalidParameterError(f"grid needs an even panel count >= {N_START}, got {n}")
-        object.__setattr__(self, "omegas", w)
-
-    @property
-    def count(self):
-        return self.omegas.size - 1
-
-    @property
-    def half_width(self):
-        return 0.5 * (self.omegas[-1] - self.omegas[0])
-
-    @classmethod
-    def for_pulse(cls, pulse: PulseSpec, count=4096):
-        center, half = _spectral_window(pulse)
-        return cls(np.linspace(center - half, center + half, count + 1))
-
-
 def _spectral_window(pulse: PulseSpec):
     """Center and half-width wide enough for both the line and the pulse spectrum."""
     if isinstance(pulse, GaussianPulse):
@@ -143,7 +116,7 @@ def _core_integrals(pulse: PulseSpec, medium: MediumProfile, tol, grid_n):
         pt, ps, n = math.exp(-x), -math.expm1(-x), 0
         tau_t = group_delay(pulse.detuning, od0)
         with np.errstate(over="ignore"):  # t_g / inf -> tau_S = 1, its dense limit
-            tau_s = 1.0 - tau_t / float(np.expm1(x)) if od0 > 0 else math.nan
+            tau_s = 1.0 - tau_t / float(np.expm1(x)) if x > 0 else math.nan
         od_eff = x
     else:
         center, half = _spectral_window(pulse)
@@ -220,23 +193,6 @@ def _scattered_delay_point(w, od0):
         return 2.0 * line + q * line * (x / np.expm1(x) - 1.0)
 
 
-def scattered_delay_quadrature(detuning, od0, n_od=4001):
-    """Numeric-inner-integral route to the narrow-band scattered delay (test oracle).
-
-    Averages the group delay over the depth at which the photon is lost,
-    weighting each depth by its exponential survival factor.
-    """
-    if od0 <= 0:
-        raise UndefinedConditionalError("nothing scatters at od0 = 0")
-    line = float(lorentzian(detuning))
-    eta = np.linspace(0.0, od0, int(n_od))
-    surv = np.exp(-eta * line)
-    tg_unit = group_delay(detuning, 1.0)  # group delay is linear in depth
-    num = tg_unit * np.trapezoid(surv * eta, eta)
-    den = np.trapezoid(surv, eta)
-    return wigner_delay(detuning) + num / den
-
-
 def effective_od(pulse: PulseSpec, medium: MediumProfile, *, tol=DEFAULT_TOL, grid_n=None):
     """Effective optical depth -ln(P_T) seen by the full pulse spectrum."""
     if isinstance(pulse, NarrowBandPulse):
@@ -280,57 +236,6 @@ def invert_od_eff(pulse: PulseSpec, od_eff, *, length=1.0, tol=1e-10):
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-@dataclass(frozen=True)
-class SpectralFields:
-    """Per-frequency forward and backward no-jump fields on a (z, w) grid."""
-
-    z: np.ndarray
-    omegas: np.ndarray
-    alpha_fwd: np.ndarray  # (nz, nw)
-    beta_fwd: np.ndarray
-    alpha_back: np.ndarray | None = None
-    beta_back: np.ndarray | None = None
-
-
-def forward_fields(pulse: PulseSpec, medium: MediumProfile, grid: FrequencyGrid, z_points=65):
-    """Forward no-jump fields: attenuated, phase-shifted pulse and driven excitation."""
-    if isinstance(pulse, NarrowBandPulse):
-        raise UnsupportedVariantError("spectral fields need a finite-bandwidth pulse")
-    w = grid.omegas
-    z = np.linspace(0.0, medium.length, int(z_points))
-    amp = pulse.spectral_amplitude(w)
-    line = lorentzian(w)
-    od_z = np.array([od_integral(medium, zi) for zi in z])
-    expo = np.outer(od_z, line * (1j * w - 0.5)) - 1j * np.outer(z, w)
-    alpha = amp[None, :] * np.exp(expo)
-    gz = medium.g_of(z)
-    beta = (1j * gz[:, None] / (1j * w + 0.5)[None, :]) * alpha
-    return SpectralFields(z=z, omegas=w, alpha_fwd=alpha, beta_fwd=beta)
-
-
-def backward_fields(fields: SpectralFields, medium: MediumProfile, p_t):
-    """Backward (post-selected on transmission) fields added to a forward solution."""
-    if not p_t > 0:
-        raise UndefinedConditionalError("transmission post-selection needs P_T > 0")
-    w = fields.omegas
-    z = fields.z
-    line = lorentzian(w)
-    od_z = np.array([od_integral(medium, zi) for zi in z])
-    od0 = medium.od0
-    grow = np.exp(np.outer(od_z, line) - od0 * line[None, :])
-    alpha_b = fields.alpha_fwd / math.sqrt(p_t) * grow
-    gz = medium.g_of(z)
-    beta_b = (1j * gz[:, None] / (1j * w - 0.5)[None, :]) * alpha_b
-    return SpectralFields(
-        z=z,
-        omegas=w,
-        alpha_fwd=fields.alpha_fwd,
-        beta_fwd=fields.beta_fwd,
-        alpha_back=alpha_b,
-        beta_back=beta_b,
-    )
 
 
 def delay_report(pulse: PulseSpec, medium: MediumProfile, *, tol=DEFAULT_TOL, grid_n=None):

@@ -32,7 +32,6 @@ from .domain import (
     NarrowBandPulse,
     PulseSpec,
     TabulatedSpectrumPulse,
-    WeakProbeConfig,
     TAIL_CUT,
 )
 from .errors import (
@@ -379,8 +378,8 @@ def integrate_backward(forward: FieldHistory, medium: MediumProfile):
     )
 
 
-def weak_trace(forward: FieldHistory, backward: FieldHistory, probe: WeakProbeConfig = WeakProbeConfig()):
-    """Probe phase shift vs time: (times, phi) with phi ~ the conditioned excitation."""
+def weak_trace(forward: FieldHistory, backward: FieldHistory):
+    """Transmitted weak value of the excited-state population vs time: (times, phi)."""
     if forward.direction != "forward" or backward.direction != "backward":
         raise InvalidParameterError("need one forward and one backward history")
     if forward.n_rec != backward.n_rec or forward.grid is not backward.grid:
@@ -389,14 +388,14 @@ def weak_trace(forward: FieldHistory, backward: FieldHistory, probe: WeakProbeCo
     bb, fb = backward.beta, forward.beta
     # Re(conj(b) f) summed over cells, on real/imag views: no full-size temporaries
     cross = (np.einsum("ij,ij->i", bb.real, fb.real) + np.einsum("ij,ij->i", bb.imag, fb.imag)) * dz
-    phi = probe.epsilon / math.sqrt(forward.p_t) * cross
+    phi = cross / math.sqrt(forward.p_t)
     return forward.times, phi
 
 
-def tau_T_td(forward: FieldHistory, backward: FieldHistory, probe: WeakProbeConfig = WeakProbeConfig()):
-    """Transmitted dwell time: time integral of the weak trace over probe strength."""
-    times, phi = weak_trace(forward, backward, probe)
-    return float(np.trapezoid(phi, times)) / probe.epsilon
+def tau_T_td(forward: FieldHistory, backward: FieldHistory):
+    """Transmitted dwell time: time integral of the weak trace."""
+    times, phi = weak_trace(forward, backward)
+    return float(np.trapezoid(phi, times))
 
 
 def tau_avg_td(forward: FieldHistory):

@@ -2,10 +2,13 @@
 
 Each check returns a CheckResult with a single measured number against a bound,
 so the CLI can print one pass/fail line per check. The fast profile covers the
-closed-form engine, checked against the z-resolved spectral fields
-(forward_fields/backward_fields) as an independent route, and the cavity
-analog; the full profile adds the time-domain integrator, the brute-force
-scattered-time oracle, and norm bookkeeping.
+closed-form engine and the cavity analog. Two of its checks resolve the closed
+forms' own integrands in depth z: the forward and backward no-jump fields enter
+only through |beta_fwd|^2 and conj(beta_back) beta_fwd, where the propagation
+phase cancels exactly, so the integrands are real (z, w) arrays. Those checks
+verify the z and w quadratures, not an independent physical route. The full
+profile adds the independent routes: the time-domain integrator, the
+event-by-event scattered-time oracle, and norm bookkeeping.
 """
 
 from __future__ import annotations
@@ -72,39 +75,64 @@ def _romberg(y, z):
     return table[-1]
 
 
-def _field_excitation(pulse, medium, panels):
-    """Time-integrated excited population, integral over z and w of |beta_fwd|^2.
+def _z_resolved(pulse, medium, panels):
+    """Shared set-up of the z-resolved integrands.
 
-    Finite bandwidth: forward_fields on the quadrature grid of the given panel
-    count. Narrow band: g(z)^2 exp(-od(z) l(d)) / (d^2 + 1/4) at the carrier.
+    Returns the depth samples z, g(z)^2 and od(z) on them, the quadrature
+    frequencies w of the given panel count, and trapezoid weights times the
+    spectral density |amp(w)|^2, so that an integral over w is a product with
+    those weights. A narrow-band pulse has the single frequency of its carrier
+    with unit weight.
     """
     z = np.linspace(0.0, medium.length, Z_POINTS)
+    od_z = np.array([od_integral(medium, zi) for zi in z])
     if isinstance(pulse, NarrowBandPulse):
-        d = pulse.detuning
-        od_z = np.array([od_integral(medium, zi) for zi in z])
-        per_z = medium.g_of(z) ** 2 * np.exp(-od_z * spectral.lorentzian(d)) / (d * d + 0.25)
-    else:
-        grid = spectral.FrequencyGrid.for_pulse(pulse, count=panels)
-        f = spectral.forward_fields(pulse, medium, grid, z_points=Z_POINTS)
-        per_z = np.trapezoid(np.abs(f.beta_fwd) ** 2, f.omegas, axis=1)
-    return float(_romberg(per_z, z))
+        return z, medium.g_of(z) ** 2, od_z, np.array([pulse.detuning]), np.ones(1)
+    center, half = spectral._spectral_window(pulse)
+    w = np.linspace(center - half, center + half, panels + 1)
+    weights = np.full(w.size, 2.0 * half / panels)
+    weights[[0, -1]] *= 0.5
+    return z, medium.g_of(z) ** 2, od_z, w, weights * pulse.spectral_density(w)
+
+
+def _field_excitation(pulse, medium, panels):
+    """Time-integrated excited population, integral over z and w of
+    |beta_fwd|^2 = g(z)^2 |amp(w)|^2 exp(-od(z) l(w)) / (w^2 + 1/4).
+
+    The propagation phase of the forward field cancels in the modulus, so the
+    integrand is real. Narrow band: the same z-integral at the carrier.
+    """
+    z, g2, od_z, w, dens_dw = _z_resolved(pulse, medium, panels)
+    decay = np.exp(-od_z[:, None] * spectral.lorentzian(w))  # |alpha_fwd|^2 / |amp|^2
+    return float(_romberg(g2 * (decay @ (dens_dw / (w * w + 0.25))), z))
 
 
 def _field_weak_value(pulse, medium, panels, p_t):
     """Transmitted weak value of the excitation: integral over z and w of
-    conj(beta_back) beta_fwd, divided by the final forward/backward overlap."""
-    grid = spectral.FrequencyGrid.for_pulse(pulse, count=panels)
-    f = spectral.forward_fields(pulse, medium, grid, z_points=Z_POINTS)
-    f = spectral.backward_fields(f, medium, p_t)
-    cross = np.trapezoid(np.conj(f.beta_back) * f.beta_fwd, f.omegas, axis=1)
-    overlap = np.trapezoid((np.conj(f.alpha_back[-1]) * f.alpha_fwd[-1]).real, f.omegas)
-    return float(_romberg(cross, f.z).real / overlap)
+    Re[conj(beta_back) beta_fwd], divided by the final forward/backward overlap.
+
+    The backward field is the forward one grown by exp(od(z) l - od0 l) / sqrt(P_T)
+    with the adjoint pole, so the phases cancel and the real part of the product
+    carries the pole factor -Re[(i w + 1/2)^-2].
+    """
+    z, g2, od_z, w, dens_dw = _z_resolved(pulse, medium, panels)
+    line = spectral.lorentzian(w)
+    od_line = od_z[:, None] * line
+    # conj(alpha_back) alpha_fwd / |amp|^2: forward decay times backward growth
+    overlap = np.exp(-od_line) * np.exp(od_line - medium.od0 * line) / math.sqrt(p_t)
+    poles = (w * w - 0.25) / (w * w + 0.25) ** 2
+    return float(_romberg(g2 * (overlap @ (dens_dw * poles)), z) / (overlap[-1] @ dens_dw))
 
 
 def check_avg_dwell_identity(*, grid_n=None):
     """tau_0 * Gamma = P_S: the closed-form scattering probability equals the
-    time-integrated excited population of the z-resolved forward field, on the
-    closed-form pass's own converged grid, on every random case."""
+    time-integrated excited population, integral over z and w of |beta_fwd|^2,
+    on every random case.
+
+    The integrand is P_S's own integrand resolved in z, with the phase
+    cancelled exactly, on the closed-form pass's converged panel count; the
+    check verifies the z (Romberg) and w (trapezoid) quadratures.
+    """
     cases = random_cases()
 
     def run():
@@ -117,7 +145,7 @@ def check_avg_dwell_identity(*, grid_n=None):
     worst, dt = _timed(run)
     ok = worst < 1e-9 and dt < 10.0
     return CheckResult("avg_dwell_identity", ok, worst, 1e-9,
-                       detail=f"{len(cases)} cases, P_S vs field excitation", elapsed=dt)
+                       detail=f"{len(cases)} cases, P_S vs its z-resolved integrand", elapsed=dt)
 
 
 def check_outcome_sum_rule(*, grid_n=None):
@@ -141,7 +169,12 @@ def check_outcome_sum_rule(*, grid_n=None):
 
 def check_transmitted_closed_form(*, grid_n=None):
     """Resonant narrow-band tau_T is exactly -od0, and the closed-form tau_T
-    matches the z-resolved field weak value on twice its converged panel count."""
+    matches the weak value integral over z and w of conj(beta_back) beta_fwd
+    over the final overlap, on twice its converged panel count.
+
+    The weak-value integrand is tau_T's own integrand resolved in z, with the
+    phase cancelled exactly; the check verifies the z and w quadratures.
+    """
     def run():
         worst_nb = 0.0
         for od0 in (0.25, 1.0, 2.5, 7.0, 15.0):
@@ -160,7 +193,7 @@ def check_transmitted_closed_form(*, grid_n=None):
     (worst_nb, worst_gap), dt = _timed(run)
     ok = worst_nb == 0.0 and worst_gap < 1e-10
     return CheckResult("transmitted_closed_form", ok, max(worst_nb, worst_gap), 1e-10,
-                       detail="narrow-band exact + field weak-value gap", elapsed=dt)
+                       detail="narrow-band exact + z-resolved weak-value gap", elapsed=dt)
 
 
 def check_scattered_delay_equality(*, grid_n=None):

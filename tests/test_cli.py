@@ -2,9 +2,12 @@
 
 import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dwelltime import cli
 from dwelltime.domain import GaussianPulse, NarrowBandPulse
@@ -200,6 +203,34 @@ kind = timedomain
             header, rows = read_rows(out)
             assert float(rows[0][header.index("tau_S")]) == 1.0
 
+    @pytest.mark.parametrize("detuning,od0", [(1e200, 2.0), (1e10, 1e-310)])
+    def test_unabsorbed_narrowband_exits_0(self, tmp_path, detuning, od0):
+        # the absorbed depth od0 / (1 + 4 detuning^2) underflows to 0: nothing
+        # scatters, so tau_S is NaN as at od0 = 0
+        out = tmp_path / "report.csv"
+        cfg = write(tmp_path, f"[pulse]\nkind = narrowband\ndetuning = {detuning}\n"
+                              f"[medium]\nod0 = {od0}\n[output]\npath = {out}\n")
+        assert cli.main(["run", cfg]) == 0
+        header, rows = read_rows(out)
+        assert float(rows[0][header.index("P_T")]) == 1.0
+        assert math.isnan(float(rows[0][header.index("tau_S")]))
+
+    @pytest.mark.parametrize("sigma", ["1e200", "inf", "nan"])
+    def test_unrepresentable_sigma_exits_4(self, tmp_path, capsys, sigma):
+        cfg = write(tmp_path, BASE.replace("sigma = 1.0", f"sigma = {sigma}"))
+        assert cli.main(["run", cfg]) == 4
+        assert "sigma must be positive and below" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid_n", ["0", "-4", "3"])
+    def test_grid_n_below_start_exits_2(self, tmp_path, capsys, grid_n):
+        cfg = write(tmp_path, BASE + f"\n[quadrature]\ngrid_n = {grid_n}\n")
+        assert cli.main(["run", cfg]) == 2
+        assert "grid_n must lie in" in capsys.readouterr().err
+
+    def test_validate_grid_n_zero_exits_2(self, capsys):
+        assert cli.main(["validate", "--grid-n", "0"]) == 2
+        assert "--grid-n must lie in" in capsys.readouterr().err
+
     def test_timedomain_grid_too_large_exits_4(self, tmp_path, capsys):
         # refused by GridSpec before any field or history is allocated
         cfg = write(tmp_path, "[pulse]\nkind = gaussian\nsigma = 0.01\n"
@@ -325,3 +356,83 @@ class TestFigureCommand:
         assert cli.main(["validate", "--grid-n", "256"]) == 1
         out = capsys.readouterr().out
         assert "grid_convergence" in out and "FAIL" in out
+
+
+# --- generated configs ------------------------------------------------------
+
+JUNK = st.sampled_from(["", "abc", "1e", "--1", "1,5", "5%", "%(x)s", "0x10", "None", "1 2", "[x]"])
+EXTREME = st.one_of(
+    st.builds(lambda sign, exponent: sign * 10.0**exponent, st.sampled_from([1.0, -1.0]), st.integers(-300, 300)),
+    st.sampled_from([0.0, 5e-324, 1e200, -1e200, math.inf, -math.inf, math.nan]),
+).map(repr)
+BAD_FILES = st.sampled_from(["one_col.txt", "empty.txt", "junk.txt", "backwards.txt", "absent.txt"])
+
+# (section, key) -> (in-range values, out-of-range or malformed values)
+FUZZ_KEYS = {
+    ("pulse", "sigma"): (st.floats(0.05, 20.0).map(repr), EXTREME | JUNK),
+    ("pulse", "detuning"): (st.floats(-3.0, 3.0).map(repr), EXTREME | JUNK),
+    ("pulse", "spectrum_file"): (st.sampled_from(["spec2.txt", "spec3.txt"]), BAD_FILES),
+    ("medium", "od0"): (st.floats(0.0, 20.0).map(repr), EXTREME | JUNK),
+    ("medium", "length"): (st.floats(0.5, 2.0).map(repr), EXTREME | JUNK),
+    ("medium", "profile_file"): (st.just("ramp.txt"), BAD_FILES),
+    ("atom", "gamma"): (st.floats(0.5, 2.0).map(repr), EXTREME | JUNK),
+    ("quadrature", "tol"): (st.sampled_from([None, "1e-6"]), EXTREME | JUNK),
+    # above the cap only 2**20 + 1 and 2**40: without the bound, an 8 TB grid fails to
+    # allocate at once, while a draw in between could fill the machine's memory
+    ("quadrature", "grid_n"): (st.sampled_from([None, "4096"]),
+                               st.sampled_from(["0", "-4", "3", "1023", str(2**20 + 1), str(2**40)])
+                               | st.integers(-2**20, 1023).map(str) | EXTREME | JUNK),
+    ("output", "path"): (st.just("out.csv"), st.sampled_from([".", "absent/out.csv"])),
+}
+FILE_KEYS = ("spectrum_file", "profile_file", "path")
+
+
+@st.composite
+def fuzz_configs(draw):
+    """Entries of a config: a valid case with up to two keys missing or replaced
+    by extreme floats or junk tokens."""
+    kind = draw(st.sampled_from(["gaussian", "narrowband", "tabulated"]) | JUNK)
+    keys = [k for k in FUZZ_KEYS if k[1] not in ("spectrum_file", "profile_file", "od0")]
+    keys.append(("pulse", "spectrum_file") if kind == "tabulated" else ("pulse", "sigma"))
+    keys.append(draw(st.sampled_from([("medium", "od0"), ("medium", "profile_file")])))
+    broken = draw(st.sets(st.sampled_from(keys), max_size=2))
+    entries = {("pulse", "kind"): kind}
+    for key in keys:
+        good, bad = FUZZ_KEYS[key]
+        entries[key] = draw(st.none() | bad) if key in broken else draw(good)
+    return entries
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    w = np.linspace(-6, 6, 201)
+    np.savetxt(d / "spec2.txt", np.column_stack([w, np.exp(-(w**2))]))
+    np.savetxt(d / "spec3.txt", np.column_stack([w, np.exp(-(w**2)), 0.3 * w]))
+    z = np.linspace(0, 1, 21)
+    np.savetxt(d / "ramp.txt", np.column_stack([z, 1.5 * z]))
+    np.savetxt(d / "one_col.txt", w)
+    (d / "empty.txt").write_text("")
+    (d / "junk.txt").write_text("a b\nc d\n")
+    np.savetxt(d / "backwards.txt", np.column_stack([w[::-1], np.ones_like(w)]))
+    return d
+
+
+@given(fuzz_configs())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_generated_configs_exit_with_a_code(fuzz_dir, entries):
+    """Any config over the pulse/medium/atom/quadrature/output keys, with keys
+    missing, junk tokens, non-finite floats and floats from 1e-300 to 1e300,
+    gives a report or a typed error: exit 0, 2, 3 or 4, never a traceback.
+    The engine is the default spectral one, since a single time-domain config
+    may legitimately reserve up to 2 GB."""
+    sections = {}
+    for (section, key), value in entries.items():
+        if value is not None:
+            if key in FILE_KEYS:
+                value = os.path.join(fuzz_dir, value)
+            sections.setdefault(section, []).append(f"{key} = {value}")
+    text = "".join(f"[{name}]\n" + "\n".join(lines) + "\n" for name, lines in sections.items())
+    cfg = fuzz_dir / "case.ini"
+    cfg.write_text(text)
+    assert cli.main(["run", str(cfg)]) in (0, 2, 3, 4)

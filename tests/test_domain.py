@@ -14,7 +14,6 @@ from dwelltime.domain import (
     MediumProfile,
     NarrowBandPulse,
     TabulatedSpectrumPulse,
-    WeakProbeConfig,
     make_tabulated_medium,
     make_uniform_medium,
     od_integral,
@@ -167,12 +166,14 @@ class TestDelayReport:
             DelayReport(**self._kw(method="guesswork"))
 
 
-def test_weak_probe_needs_positive_strength():
-    assert WeakProbeConfig().epsilon == 1.0
-    with pytest.raises(InvalidParameterError):
-        WeakProbeConfig(epsilon=0.0)
-
-
 def test_narrowband_pulse_is_plain_detuning_tag():
     assert NarrowBandPulse(0.7).detuning == 0.7
     assert NarrowBandPulse().detuning == 0.0
+
+
+def test_public_names_resolve():
+    """Every name in dwelltime.__all__ exists on the package."""
+    import dwelltime
+
+    missing = [name for name in dwelltime.__all__ if not hasattr(dwelltime, name)]
+    assert missing == []

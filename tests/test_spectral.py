@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dwelltime import spectral
+from dwelltime import spectral, validation
 from dwelltime.domain import (
     GaussianPulse,
     NarrowBandPulse,
     TabulatedSpectrumPulse,
     make_gaussian_pulse,
     make_uniform_medium,
+    od_integral,
 )
 from dwelltime.errors import (
     InvalidParameterError,
@@ -52,6 +53,21 @@ FROZEN = [
     (None, 0.7, 3.0, dict(P_T=0.3629415367353997, tau_T=0.3287070854638422,
                           tau_S=0.8127307592419351)),
 ]
+
+
+def scattered_delay_quadrature(detuning, od0, n_od=4001):
+    """Numeric-inner-integral route to the narrow-band scattered delay.
+
+    Averages the group delay over the depth at which the photon is lost,
+    weighting each depth by its exponential survival factor.
+    """
+    line = float(spectral.lorentzian(detuning))
+    eta = np.linspace(0.0, od0, int(n_od))
+    surv = np.exp(-eta * line)
+    tg_unit = spectral.group_delay(detuning, 1.0)  # group delay is linear in depth
+    num = tg_unit * np.trapezoid(surv * eta, eta)
+    den = np.trapezoid(surv, eta)
+    return spectral.wigner_delay(detuning) + num / den
 
 
 def _pulse(sigma, detuning):
@@ -118,7 +134,7 @@ class TestClosedForms:
         # independent route: emission-depth integral evaluated by brute quadrature
         for d, od0 in ((0.0, 2.0), (1.1, 5.0)):
             closed = spectral.tau_S(NarrowBandPulse(d), make_uniform_medium(od0))
-            numeric = spectral.scattered_delay_quadrature(d, od0)
+            numeric = scattered_delay_quadrature(d, od0)
             assert closed == pytest.approx(numeric, rel=1e-7)
 
 
@@ -170,46 +186,37 @@ class TestDelayReport:
 
 
 class TestFields:
-    def test_forward_fields_boundary_values(self):
-        p, m = make_gaussian_pulse(1.0), make_uniform_medium(2.0)
-        grid = spectral.FrequencyGrid.for_pulse(p)
-        f = spectral.forward_fields(p, m, grid)
-        np.testing.assert_allclose(f.alpha_fwd[0], p.spectral_amplitude(f.omegas), rtol=1e-12)
-        # exit density integrates to P_T
-        p_t, _ = spectral.transmission_probability(p, m)
-        got = np.trapezoid(np.abs(f.alpha_fwd[-1]) ** 2, f.omegas)
-        assert got == pytest.approx(p_t, rel=1e-9)
+    """The z-resolved integrands of the gate (validation) against the complex
+    no-jump fields they stand for, built here on a (z, w) grid."""
 
     def test_excitation_ratio_and_adjoint_pole(self):
-        p, m = make_gaussian_pulse(1.0), make_uniform_medium(2.0)
-        grid = spectral.FrequencyGrid.for_pulse(p)
-        f = spectral.forward_fields(p, m, grid)
-        w = f.omegas
-        np.testing.assert_allclose(f.beta_fwd[3], 1j * m.g0 / (1j * w + 0.5) * f.alpha_fwd[3],
-                                   rtol=1e-12)
+        """|beta_fwd|^2 and Re[conj(beta_back) beta_fwd] of the complex fields,
+        with excitation ratio i g / (i w + 1/2) and the adjoint pole at
+        i w - 1/2, integrate to the gate's real-integrand values."""
+        p, m, panels = make_gaussian_pulse(0.7, 0.4), make_uniform_medium(3.0), 2048
         p_t, _ = spectral.transmission_probability(p, m)
-        b = spectral.backward_fields(f, m, p_t)
-        np.testing.assert_allclose(b.beta_back[3], 1j * m.g0 / (1j * w - 0.5) * b.alpha_back[3],
-                                   rtol=1e-12)
+        z = np.linspace(0.0, m.length, validation.Z_POINTS)
+        center, half = spectral._spectral_window(p)
+        w = np.linspace(center - half, center + half, panels + 1)
+        od_z = np.array([od_integral(m, zi) for zi in z])
+        line = spectral.lorentzian(w)
+        alpha = p.spectral_amplitude(w) * np.exp(np.outer(od_z, line * (1j * w - 0.5)) - 1j * np.outer(z, w))
+        beta = 1j * m.g0 / (1j * w + 0.5) * alpha
+        alpha_b = alpha / math.sqrt(p_t) * np.exp(np.outer(od_z, line) - m.od0 * line)
+        beta_b = 1j * m.g0 / (1j * w - 0.5) * alpha_b
+        excitation = validation._romberg(np.trapezoid(np.abs(beta) ** 2, w, axis=1), z)
+        assert validation._field_excitation(p, m, panels) == pytest.approx(excitation, rel=1e-13)
+        cross = validation._romberg(np.trapezoid(np.conj(beta_b) * beta, w, axis=1), z).real
+        overlap = np.trapezoid((np.conj(alpha_b[-1]) * alpha[-1]).real, w)
+        assert validation._field_weak_value(p, m, panels, p_t) == pytest.approx(cross / overlap, rel=1e-13)
 
     def test_weak_value_from_fields_reproduces_tau_t(self):
         """Integrating conj(beta_back) * beta_fwd over the medium and spectrum,
         normalized by the final overlap, is the transmitted dwell time."""
         p, m = make_gaussian_pulse(1.0), make_uniform_medium(2.0)
-        grid = spectral.FrequencyGrid.for_pulse(p, count=8192)
-        f = spectral.forward_fields(p, m, grid, z_points=129)
         p_t, _ = spectral.transmission_probability(p, m)
-        b = spectral.backward_fields(f, m, p_t)
-        cross = np.conj(b.beta_back) * b.beta_fwd
-        num = np.trapezoid(np.trapezoid(cross, b.omegas, axis=1), b.z).real
-        den = np.trapezoid((np.conj(b.alpha_back[-1]) * b.alpha_fwd[-1]).real, b.omegas)
-        assert num / den == pytest.approx(spectral.tau_T(p, m), rel=1e-9)
-
-    def test_narrowband_fields_unsupported(self):
-        m = make_uniform_medium(1.0)
-        grid = spectral.FrequencyGrid.for_pulse(make_gaussian_pulse(1.0))
-        with pytest.raises(UnsupportedVariantError):
-            spectral.forward_fields(NarrowBandPulse(0.0), m, grid)
+        weak = validation._field_weak_value(p, m, 8192, p_t)
+        assert weak == pytest.approx(spectral.tau_T(p, m), rel=1e-9)
 
 
 class TestAsymptotics:
@@ -270,14 +277,6 @@ def test_quadrature_cap_raises():
 
     with pytest.raises(NumericError):
         spectral.converge_trapezoid(rows, 0.0, 20.0, tol=1e-12)
-
-
-def test_frequency_grid_validation():
-    with pytest.raises(InvalidParameterError):
-        spectral.FrequencyGrid(np.linspace(-1, 1, 1002))  # odd panel count
-    grid = spectral.FrequencyGrid.for_pulse(make_gaussian_pulse(1.0), count=2048)
-    assert grid.count == 2048
-    assert grid.half_width == pytest.approx(20.0)
 
 
 # --- property-based invariants --------------------------------------------

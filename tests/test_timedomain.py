@@ -113,13 +113,6 @@ class TestBackward:
         peak = np.max(np.abs(phi))
         assert abs(phi[0]) < 1e-10 * peak and abs(phi[-1]) < 1e-8 * peak
 
-    def test_probe_strength_scales_linearly(self, run_default):
-        from dwelltime.domain import WeakProbeConfig
-        fwd, bwd = run_default
-        _, phi1 = timedomain.weak_trace(fwd, bwd, WeakProbeConfig(1.0))
-        _, phi3 = timedomain.weak_trace(fwd, bwd, WeakProbeConfig(3.0))
-        np.testing.assert_allclose(phi3, 3.0 * phi1, rtol=0, atol=1e-14)
-
     def test_rejects_mismatched_histories(self, run_default):
         fwd, _ = run_default
         with pytest.raises(InvalidParameterError):
