@@ -50,7 +50,6 @@ from .spectral import (
     scattered_delay,
     tau_S,
     tau_T,
-    tau_avg,
     transmission_probability,
     wigner_delay,
 )
@@ -118,7 +117,6 @@ __all__ = [
     "tau_S_oracle",
     "tau_T",
     "tau_T_td",
-    "tau_avg",
     "tau_avg_td",
     "transmission_probability",
     "weak_trace",

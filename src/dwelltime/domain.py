@@ -174,8 +174,8 @@ def make_gaussian_pulse(sigma, detuning=0.0):
 
 def make_uniform_medium(od0, length=1.0):
     """Uniform medium with the requested resonant optical depth."""
-    if od0 < 0:
-        raise InvalidParameterError(f"od0 must be nonnegative, got {od0}")
+    if not 0 <= od0 < math.inf:
+        raise InvalidParameterError(f"od0 must be finite and nonnegative, got {od0}")
     if not length > 0:
         raise InvalidParameterError(f"length must be positive, got {length}")
     g0_sq = od0 / (4.0 * length)  # c = Gamma = 1

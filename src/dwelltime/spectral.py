@@ -37,16 +37,22 @@ N_CAP = 2**20
 
 
 def lorentzian(omega):
-    """Resonance line shape 1 / (1 + (2 w)^2), unit height at w = 0."""
+    """Resonance line shape 1 / (1 + (2 w)^2), unit height at w = 0; its limit 0
+    where (2 w)^2 overflows."""
     w = np.asarray(omega, dtype=float)
-    return 1.0 / (1.0 + 4.0 * w * w)
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + 4.0 * w * w)
 
 
 def group_delay(detuning, od0):
-    """Stationary-phase transmission delay through resonant optical depth od0."""
+    """Stationary-phase transmission delay through resonant optical depth od0;
+    its limit 0 where (1 + (2 w)^2)^2 overflows (|w| above about 6e76)."""
     w = np.asarray(detuning, dtype=float)
-    q = 1.0 - 4.0 * w * w
-    delay = -od0 * q / (1.0 + 4.0 * w * w) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        w2 = 4.0 * w * w
+        den = (1.0 + w2) ** 2
+        delay = np.asarray(-od0 * (1.0 - w2) / den)
+    delay[np.isinf(den)] = 0.0  # the limit, where the formula gives 0 (x / inf) or NaN (inf / inf)
     return delay if delay.ndim else float(delay)
 
 
@@ -79,13 +85,15 @@ def converge_trapezoid(rows_fn, center, half_width, *, tol=DEFAULT_TOL, grid_n=N
 
     Stops when every row changes by less than tol * max(|value|, 1) under one
     doubling. grid_n pins the panel count instead (no convergence check).
-    A tol below double precision raises NumericError. Returns (values, panel_count).
+    A tol below double precision, or not finite, raises NumericError.
+    Returns (values, panel_count).
     """
     if grid_n is not None:
         w = np.linspace(center - half_width, center + half_width, int(grid_n) + 1)
         return _trapz_rows(rows_fn(w), w), int(grid_n)
-    if tol < np.finfo(float).eps:
-        raise NumericError(f"tol={tol} is below double precision and cannot be certified")
+    if not np.finfo(float).eps <= tol < math.inf:
+        raise NumericError(f"tol={tol} cannot be certified: it must be finite and "
+                           "not below double precision")
     prev = None
     n = N_START
     while n <= N_CAP:
@@ -142,11 +150,6 @@ def transmission_probability(pulse: PulseSpec, medium: MediumProfile, *, tol=DEF
     return core["pt"], core["ps"]
 
 
-def tau_avg(pulse: PulseSpec, medium: MediumProfile, *, tol=DEFAULT_TOL, grid_n=None):
-    """Average excited-state dwell time over all outcomes, (1/Gamma) * P_S."""
-    return _core_integrals(pulse, medium, tol, grid_n)["ps"]
-
-
 def tau_T(pulse: PulseSpec, medium: MediumProfile, *, tol=DEFAULT_TOL, grid_n=None):
     """Excited-state dwell time conditioned on transmission.
 
@@ -186,11 +189,15 @@ def scattered_delay(pulse: PulseSpec, medium: MediumProfile, *, tol=DEFAULT_TOL,
 
 
 def _scattered_delay_point(w, od0):
+    """Per-frequency scattered delay; NaN where nothing scatters (x = 0), as tau_S."""
     line = lorentzian(w)
-    q = 1.0 - 4.0 * np.asarray(w, dtype=float) ** 2
     x = od0 * line  # > 0 whenever anything scatters
-    with np.errstate(over="ignore"):  # x / inf -> 0 in dense media
-        return 2.0 * line + q * line * (x / np.expm1(x) - 1.0)
+    # x / inf -> 0 in dense media; the 0 / 0 at x = 0 is overwritten below
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = 1.0 - 4.0 * np.asarray(w, dtype=float) ** 2
+        t_s = np.asarray(2.0 * line + q * line * (x / np.expm1(x) - 1.0))
+    t_s[x == 0] = np.nan
+    return t_s
 
 
 def effective_od(pulse: PulseSpec, medium: MediumProfile, *, tol=DEFAULT_TOL, grid_n=None):

@@ -15,7 +15,7 @@ whose two histories would exceed MAX_HISTORY_BYTES.
 The domain is sized so the forward run loses nothing at a boundary: the right
 edge lies beyond the light cone of the run, the left edge holds the full
 initial pulse. The backward run may carry some of the post-selected field out
-through the left edge; the recorded alpha norm counts only what is on the grid.
+through the left edge.
 """
 
 from __future__ import annotations
@@ -117,6 +117,8 @@ class GridSpec:
             raise UnsupportedVariantError("time-domain integration needs a finite-bandwidth pulse")
         if cells_per_medium < 50:
             raise InvalidParameterError(f"medium needs >= 50 cells, got {cells_per_medium}")
+        if not 0 <= settle_time < math.inf:
+            raise InvalidParameterError(f"settle_time must be finite and nonnegative, got {settle_time}")
         length = medium.length
         t_half = float(_support_halfwidth(pulse))
         sigma = pulse.sigma if isinstance(pulse, GaussianPulse) else t_half / 6.0
@@ -138,28 +140,34 @@ class GridSpec:
 
 @dataclass
 class FieldHistory:
-    """Recorded trajectory of one integration pass."""
+    """Recorded trajectory of one integration pass, one row per step from t_start.
+
+    Both passes fill grid, direction, beta and p_t. The forward pass also fills
+    beta_norm, the snapshots, final_alpha, input_com, monitor and
+    bookkeeping_dev; the backward pass fills overlap. Fields a pass does not
+    fill stay None (or 0.0).
+    """
 
     grid: GridSpec
     direction: str  # "forward" or "backward"
-    times: np.ndarray  # (n_rec,)
     beta: np.ndarray  # (n_rec, n_med) excitation amplitude on medium cells
-    alpha_norm: np.ndarray
-    beta_norm: np.ndarray
-    scattered_cum: np.ndarray  # Gamma * integral of the excited norm up to t
-    snap_steps: np.ndarray
-    snap_alpha: np.ndarray  # (n_snap, n_cells)
-    final_alpha: np.ndarray
-    final_beta: np.ndarray
     p_t: float
+    beta_norm: Optional[np.ndarray] = None  # (n_rec,) excited norm
+    snap_steps: Optional[np.ndarray] = None
+    snap_alpha: Optional[np.ndarray] = None  # (n_snap, n_cells)
+    final_alpha: Optional[np.ndarray] = None
     input_com: float = 0.0
     monitor: Optional[np.ndarray] = None  # transmitted amplitude time series
     overlap: Optional[np.ndarray] = None  # <back|fwd> at snapshot steps
-    bookkeeping_dev: float = 0.0
+    bookkeeping_dev: float = 0.0  # max |alpha norm + beta norm + scattered - 1| over steps
 
     @property
     def n_rec(self):
-        return self.times.size
+        return self.beta.shape[0]
+
+    @property
+    def times(self):
+        return self.grid.t_start + np.arange(self.n_rec) * self.grid.dt
 
 
 def _coupling_halfstep(medium: MediumProfile, grid: GridSpec, sign: float):
@@ -242,12 +250,12 @@ def integrate_forward(pulse: PulseSpec, medium: MediumProfile, grid: GridSpec | 
     na = dz * float(w.sum())
     input_com = float((w * (grid.t_start - zc)).sum() / w.sum())
 
-    times = [grid.t_start]
-    beta_rows = np.empty((ms + 1, nm), dtype=complex)  # rows past the last step stay untouched
+    # rows past the last step stay untouched
+    beta_rows = np.empty((ms + 1, nm), dtype=complex)
+    beta_norms = np.empty(ms + 1)
     beta_rows[0] = beta
-    alpha_norms = [na]
-    beta_norms = [0.0]
-    scattered = [0.0]
+    beta_norms[0] = 0.0
+    nb = scat = 0.0  # excited norm and Gamma * its time integral so far
     snap_steps = [0]
     snaps = [field[ms:].copy()]
 
@@ -263,13 +271,10 @@ def integrate_forward(pulse: PulseSpec, medium: MediumProfile, grid: GridSpec | 
         na += dz * (_norm2(covered) - before)
 
         t = grid.t_start + n * dt
-        nb = dz * _norm2(beta)
-        scat = scattered[-1] + dt * 0.5 * (beta_norms[-1] + nb)  # Gamma = 1
-        times.append(t)
+        nb_prev, nb = nb, dz * _norm2(beta)
+        scat += dt * 0.5 * (nb_prev + nb)  # Gamma = 1
         beta_rows[n] = beta
-        alpha_norms.append(na)
-        beta_norms.append(nb)
-        scattered.append(scat)
+        beta_norms[n] = nb
         if n % grid.snap_every == 0:
             snap_steps.append(n)
             snaps.append(field[ms - n:ms - n + nc].copy())
@@ -284,24 +289,19 @@ def integrate_forward(pulse: PulseSpec, medium: MediumProfile, grid: GridSpec | 
     if snap_steps[-1] != n:
         snap_steps.append(n)
         snaps.append(final_alpha.copy())
-    alpha_norms[-1] = dz * _norm2(final_alpha)  # exact, and >= 0 in opaque media
-    p_t = alpha_norms[-1] + beta_norms[-1]
+    p_t = dz * _norm2(final_alpha) + nb  # exact, and >= 0 in opaque media
     # a cell right of the window never changes again, so the monitor's series
     # (lab cell i_monitor at steps 0..n) is one reversed offset view
     i_mon = ms + grid.i_monitor
     return FieldHistory(
         grid=grid,
         direction="forward",
-        times=np.array(times),
         beta=beta_rows[:n + 1],
-        alpha_norm=np.array(alpha_norms),
-        beta_norm=np.array(beta_norms),
-        scattered_cum=np.array(scattered),
+        p_t=float(p_t),
+        beta_norm=beta_norms[:n + 1],
         snap_steps=np.array(snap_steps),
         snap_alpha=np.array(snaps),
         final_alpha=final_alpha,
-        final_beta=beta.copy(),
-        p_t=float(p_t),
         input_com=input_com,
         monitor=field[i_mon - n:i_mon + 1][::-1].copy(),
         bookkeeping_dev=book_dev,
@@ -321,8 +321,7 @@ def integrate_backward(forward: FieldHistory, medium: MediumProfile):
         raise UndefinedConditionalError("transmission post-selection needs P_T > 0")
     dz = grid.dz
     nm, ms, nc = grid.n_med, grid.max_steps, grid.n_cells
-    n_rec = forward.n_rec
-    n_end = n_rec - 1
+    n_end = forward.n_rec - 1
     root = math.sqrt(forward.p_t)
     # same co-moving layout as the forward pass; the window now moves right
     field = np.zeros(ms + nc, dtype=complex)
@@ -330,13 +329,8 @@ def integrate_backward(forward: FieldHistory, medium: MediumProfile):
     beta = np.zeros(nm, dtype=complex)
     coef = _coupling_halfstep(medium, grid, -1.0)
 
-    beta_rows = np.empty((n_rec, nm), dtype=complex)
-    alpha_norms = np.empty(n_rec)
-    beta_norms = np.empty(n_rec)
+    beta_rows = np.empty((n_end + 1, nm), dtype=complex)
     beta_rows[n_end] = beta
-    na = dz * _norm2(field[ms - n_end:ms - n_end + nc])
-    alpha_norms[n_end] = na
-    beta_norms[n_end] = 0.0
     snap_lookup = {int(s): k for k, s in enumerate(forward.snap_steps)}
     overlaps = np.full(forward.snap_steps.size, np.nan + 0j, dtype=complex)
 
@@ -351,31 +345,12 @@ def integrate_backward(forward: FieldHistory, medium: MediumProfile):
     record_overlap(n_end)
     k = ms + grid.i_med0 - n_end  # start of the medium window at step n + 1
     for n in range(n_end - 1, -1, -1):
-        covered = field[k:k + nm + 1]  # a view: both windows of this step
-        before = _norm2(covered)
         beta = _step(field, k, beta, coef, 1)
         k += 1
-        # the covered cells' change, less lab cell 0, which left the grid
-        na += dz * (_norm2(covered) - before - abs(field[ms - n - 1]) ** 2)
         beta_rows[n] = beta
-        alpha_norms[n] = na
-        beta_norms[n] = dz * _norm2(beta)
         record_overlap(n)
-    return FieldHistory(
-        grid=grid,
-        direction="backward",
-        times=forward.times.copy(),
-        beta=beta_rows,
-        alpha_norm=alpha_norms,
-        beta_norm=beta_norms,
-        scattered_cum=np.zeros(n_rec),
-        snap_steps=forward.snap_steps.copy(),
-        snap_alpha=np.empty((0, nc)),
-        final_alpha=field[ms:ms + nc],
-        final_beta=beta.copy(),
-        p_t=forward.p_t,
-        overlap=overlaps,
-    )
+    return FieldHistory(grid=grid, direction="backward", beta=beta_rows, p_t=forward.p_t,
+                        overlap=overlaps)
 
 
 def weak_trace(forward: FieldHistory, backward: FieldHistory):
@@ -400,6 +375,8 @@ def tau_T_td(forward: FieldHistory, backward: FieldHistory):
 
 def tau_avg_td(forward: FieldHistory):
     """Average dwell time: time integral of the excited-state norm."""
+    if forward.direction != "forward":
+        raise InvalidParameterError("need a forward history")
     return float(np.trapezoid(forward.beta_norm, forward.times))
 
 

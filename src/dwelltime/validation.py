@@ -414,9 +414,8 @@ def _crossval_data():
     out = []
     for od0 in (0.5, 2.0, 5.0):
         medium = make_uniform_medium(od0)
-        p_ref, _ = spectral.transmission_probability(pulse, medium)
-        tt_ref = spectral.tau_T(pulse, medium)
-        t0_ref = spectral.tau_avg(pulse, medium)
+        ref = spectral.delay_report(pulse, medium)
+        p_ref, tt_ref, t0_ref = ref.P_T, ref.tau_T, ref.tau_0
         rows = {}
         t_start = time.perf_counter()
         for label, cells in (("base", 200), ("half", 400)):

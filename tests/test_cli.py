@@ -214,6 +214,15 @@ kind = timedomain
         header, rows = read_rows(out)
         assert float(rows[0][header.index("P_T")]) == 1.0
         assert math.isnan(float(rows[0][header.index("tau_S")]))
+        # the group delay takes its limit 0 where (2 detuning)^2 overflows
+        assert math.isfinite(float(rows[0][header.index("tau_T")]))
+        assert math.isfinite(float(rows[0][header.index("t_g")]))
+
+    @pytest.mark.parametrize("od0", ["nan", "inf"])
+    def test_nonfinite_od0_exits_4(self, tmp_path, capsys, od0):
+        cfg = write(tmp_path, BASE.replace("od0 = 2.0", f"od0 = {od0}"))
+        assert cli.main(["run", cfg]) == 4
+        assert "od0 must be finite and nonnegative" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sigma", ["1e200", "inf", "nan"])
     def test_unrepresentable_sigma_exits_4(self, tmp_path, capsys, sigma):
@@ -238,10 +247,21 @@ kind = timedomain
         assert cli.main(["run", cfg]) == 4
         assert "beta history" in capsys.readouterr().err
 
-    def test_numeric_failure_exits_3(self, tmp_path):
-        # a tolerance below machine epsilon is refused by converge_trapezoid
-        cfg = write(tmp_path, BASE + "\n[quadrature]\ntol = 1e-30\n")
-        assert cli.main(["run", cfg]) == 3
+    @pytest.mark.parametrize("settle_time", ["nan", "inf", "-1"])
+    def test_bad_settle_time_exits_4(self, tmp_path, capsys, settle_time):
+        # refused by GridSpec.build before the grid is sized
+        cfg = write(tmp_path, BASE + "\n[engine]\nkind = timedomain\n"
+                              f"[grid]\nsettle_time = {settle_time}\n")
+        assert cli.main(["run", cfg]) == 4
+        assert "settle_time must be finite and nonnegative" in capsys.readouterr().err
+
+    def test_numeric_failure_exits_3(self, tmp_path, capsys):
+        # a tolerance below machine epsilon, or not finite, is refused by
+        # converge_trapezoid before the first pass
+        for tol in ("1e-30", "nan", "inf"):
+            cfg = write(tmp_path, BASE + f"\n[quadrature]\ntol = {tol}\n")
+            assert cli.main(["run", cfg]) == 3
+            assert "cannot be certified" in capsys.readouterr().err
 
     def test_unknown_figure_exits_4(self, tmp_path, capsys):
         assert cli.main(["figure", "fig9", str(tmp_path / "x.csv")]) == 4

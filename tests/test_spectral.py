@@ -267,7 +267,7 @@ class TestTabulatedSpectrum:
         m = make_uniform_medium(3.0)
         p_t, p_s = spectral.transmission_probability(tab, m)
         lhs = p_s * spectral.tau_S(tab, m) + p_t * spectral.tau_T(tab, m)
-        assert lhs == pytest.approx(spectral.tau_avg(tab, m), rel=1e-9)
+        assert lhs == pytest.approx(spectral.delay_report(tab, m).tau_0, rel=1e-9)
 
 
 def test_quadrature_cap_raises():
