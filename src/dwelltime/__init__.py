@@ -29,15 +29,7 @@ from .domain import (
     make_uniform_medium,
     od_integral,
 )
-from .errors import (
-    ConfigError,
-    DomainError,
-    DwellTimeError,
-    InvalidParameterError,
-    NumericError,
-    UndefinedConditionalError,
-    UnsupportedVariantError,
-)
+from .errors import ConfigError, DwellTimeError, InvalidParameterError, NumericError
 from .spectral import (
     Asymptotics,
     asymptotics,
@@ -76,7 +68,6 @@ __all__ = [
     "CheckResult",
     "ConfigError",
     "DelayReport",
-    "DomainError",
     "DwellTimeError",
     "FieldHistory",
     "GaussianPulse",
@@ -88,8 +79,6 @@ __all__ = [
     "NumericError",
     "PulseSpec",
     "TabulatedSpectrumPulse",
-    "UndefinedConditionalError",
-    "UnsupportedVariantError",
     "asymptotics",
     "com_delays",
     "delay_report",

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import NarrowBandPulse, PulseSpec
-from .errors import InvalidParameterError, UndefinedConditionalError
-from .spectral import DEFAULT_TOL, _spectral_window, converge_trapezoid
+from .errors import InvalidParameterError
+from .spectral import _spectral_window, converge_trapezoid
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ def _cavity_window(params: CavityParams, pulse: PulseSpec):
     return center, max(half, 10.0 * (params.gamma1 + params.gamma2))
 
 
-def scatter_probabilities(params: CavityParams, pulse: PulseSpec, *, tol=DEFAULT_TOL):
+def scatter_probabilities(params: CavityParams, pulse: PulseSpec):
     """(P_ref, P_tr): probabilities of leaving through the input or output mirror."""
     g1, g2 = params.gamma1, params.gamma2
     if isinstance(pulse, NarrowBandPulse):
@@ -65,12 +65,12 @@ def scatter_probabilities(params: CavityParams, pulse: PulseSpec, *, tol=DEFAULT
         den = (g1 + g2) ** 2 + 4.0 * w * w
         return np.stack([dens, dens * ((g2 - g1) ** 2 + 4.0 * w * w) / den])
 
-    (norm, ref_raw), _ = converge_trapezoid(rows, *_cavity_window(params, pulse), tol=tol)
+    (norm, ref_raw), _ = converge_trapezoid(rows, *_cavity_window(params, pulse))
     p_ref = float(ref_raw.real / norm.real)
     return p_ref, 1.0 - p_ref
 
 
-def dwell_avg(params: CavityParams, pulse: PulseSpec, *, tol=DEFAULT_TOL):
+def dwell_avg(params: CavityParams, pulse: PulseSpec):
     """Unconditioned dwell time: time integral of the mode population.
 
     Equals P_tr / gamma2, since output leakage drains the mode at rate gamma2.
@@ -84,18 +84,18 @@ def dwell_avg(params: CavityParams, pulse: PulseSpec, *, tol=DEFAULT_TOL):
         dens = pulse.spectral_density(w)
         return np.stack([dens, dens * 4.0 * g1 / ((g1 + g2) ** 2 + 4.0 * w * w)])
 
-    (norm, raw), _ = converge_trapezoid(rows, *_cavity_window(params, pulse), tol=tol)
+    (norm, raw), _ = converge_trapezoid(rows, *_cavity_window(params, pulse))
     return float(raw.real / norm.real)
 
 
-def tau_B_direct(params: CavityParams, pulse: PulseSpec, *, tol=DEFAULT_TOL):
+def tau_B_direct(params: CavityParams, pulse: PulseSpec):
     """Dwell time conditioned on back-reflection, from the weak-value integral."""
     g1, g2 = params.gamma1, params.gamma2
     if isinstance(pulse, NarrowBandPulse):
         d = pulse.detuning
         p_ref = ((g2 - g1) ** 2 + 4.0 * d * d) / ((g1 + g2) ** 2 + 4.0 * d * d)
         if p_ref <= 0.0:
-            raise UndefinedConditionalError("nothing reflects; conditional dwell undefined")
+            raise InvalidParameterError("nothing reflects; conditional dwell undefined")
         num = (g1 - g2 + 2j * d) / ((g1 + g2 + 2j * d) * ((g1 + g2) ** 2 + 4.0 * d * d))
         return float(4.0 * g1 * np.real(num) / p_ref)
 
@@ -106,9 +106,9 @@ def tau_B_direct(params: CavityParams, pulse: PulseSpec, *, tol=DEFAULT_TOL):
         num = dens * (g1 - g2 + 2j * w) / ((g1 + g2 + 2j * w) * den2)
         return np.stack([(dens * ref2).astype(complex), num])
 
-    (ref_raw, num_raw), _ = converge_trapezoid(rows, *_cavity_window(params, pulse), tol=tol)
+    (ref_raw, num_raw), _ = converge_trapezoid(rows, *_cavity_window(params, pulse))
     if not ref_raw.real > 0.0:
-        raise UndefinedConditionalError("nothing reflects; conditional dwell undefined")
+        raise InvalidParameterError("nothing reflects; conditional dwell undefined")
     return float(4.0 * g1 * np.real(num_raw) / ref_raw.real)
 
 
@@ -149,7 +149,7 @@ def feynman_tau_B(mirrors: MirrorParams, n_terms):
         raise InvalidParameterError("need at least one bounce term")
     r1, r2, t = mirrors.r1, mirrors.r2, mirrors.tau_rt
     if r1 == r2:
-        raise UndefinedConditionalError("net reflection vanishes at r1 = r2")
+        raise InvalidParameterError("net reflection vanishes at r1 = r2")
     t1_sq = 1.0 - r1 * r1
     n = np.arange(1, int(n_terms) + 1, dtype=float)
     series = float(np.sum(n * (r1 * r2) ** (n - 1)))

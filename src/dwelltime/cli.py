@@ -5,8 +5,11 @@ parser rejects unknown sections and keys so typos fail loudly. All quantities
 cross the boundary in physical units of the supplied linewidth gamma and are
 nondimensionalized internally (c = gamma = 1); reported times are in 1/gamma.
 
-Exit codes: 0 success, 1 validation failure, 2 config error, 3 numeric error,
-4 precondition violation (including an unknown figure name).
+Exit codes: 0 success, 1 validation failure, 2 config error (ConfigError) or
+io error (OSError), 3 numeric error (NumericError, or any other DwellTimeError),
+4 precondition violation (InvalidParameterError, or an unknown figure name).
+Each is printed to stderr after the prefix "config error: ", "io error: ",
+"numeric error: ", "error: " or "precondition violation: ".
 """
 
 from __future__ import annotations
@@ -31,15 +34,7 @@ from .domain import (
     make_tabulated_medium,
     make_uniform_medium,
 )
-from .errors import (
-    ConfigError,
-    DomainError,
-    DwellTimeError,
-    InvalidParameterError,
-    NumericError,
-    UndefinedConditionalError,
-    UnsupportedVariantError,
-)
+from .errors import ConfigError, DwellTimeError, InvalidParameterError, NumericError
 
 # section -> allowed keys; anything else in a config file is rejected
 SCHEMA = {
@@ -522,22 +517,17 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (ConfigError, OSError) as exc:
+        kind = "config" if isinstance(exc, ConfigError) else "io"
+        print(f"{kind} error: {exc}", file=sys.stderr)
         return 2
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 3
-    except (InvalidParameterError, DomainError, UnsupportedVariantError,
-            UndefinedConditionalError) as exc:
+    except InvalidParameterError as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
         return 4
-    except DwellTimeError as exc:  # any other library failure
-        print(f"error: {exc}", file=sys.stderr)
+    except DwellTimeError as exc:  # NumericError, or any other library failure
+        kind = "numeric error" if isinstance(exc, NumericError) else "error"
+        print(f"{kind}: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainError, InvalidParameterError
+from .errors import InvalidParameterError
 
 # |alpha_in| support cut relative to the pulse peak, shared with the time-domain grid
 TAIL_CUT = 1e-8
@@ -191,7 +191,7 @@ def od_integral(medium: MediumProfile, z):
     """Resonant optical depth accumulated from 0 to z, monotone in z."""
     zf = float(z)
     if zf < 0.0 or zf > medium.length * (1 + 1e-12):
-        raise DomainError(f"z={zf} outside [0, {medium.length}]")
+        raise InvalidParameterError(f"z={zf} outside [0, {medium.length}]")
     zf = min(zf, medium.length)
     if medium.g0 is not None:
         return medium.od0 * zf / medium.length

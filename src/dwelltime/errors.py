@@ -6,19 +6,9 @@ class DwellTimeError(Exception):
 
 
 class InvalidParameterError(DwellTimeError):
-    """A constructor or operation precondition was violated."""
-
-
-class DomainError(DwellTimeError):
-    """A coordinate argument lies outside its valid range."""
-
-
-class UnsupportedVariantError(DwellTimeError):
-    """The requested operation does not apply to this pulse/profile variant."""
-
-
-class UndefinedConditionalError(DwellTimeError):
-    """A post-selected quantity is undefined (conditioning event has zero probability)."""
+    """A precondition was violated: a parameter or coordinate outside its valid
+    range, an operation that does not apply to this pulse or profile variant, or
+    a post-selected quantity whose conditioning event has zero probability."""
 
 
 class NumericError(DwellTimeError):

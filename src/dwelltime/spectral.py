@@ -24,14 +24,10 @@ from .domain import (
     make_uniform_medium,
     od_integral,
 )
-from .errors import (
-    InvalidParameterError,
-    NumericError,
-    UndefinedConditionalError,
-    UnsupportedVariantError,
-)
+from .errors import InvalidParameterError, NumericError
 
 DEFAULT_TOL = 1e-9
+OD_EFF_TOL = 1e-10  # relative bracket width at which invert_od_eff stops bisecting
 N_START = 1024
 N_CAP = 2**20
 
@@ -77,7 +73,7 @@ def _spectral_window(pulse: PulseSpec):
         lo, hi = pulse.omegas[0], pulse.omegas[-1]
         center = 0.5 * (lo + hi)
         return center, max(20.0, 0.5 * (hi - lo))
-    raise UnsupportedVariantError("narrow-band pulses have no quadrature window")
+    raise InvalidParameterError("narrow-band pulses have no quadrature window")
 
 
 def converge_trapezoid(rows_fn, center, half_width, *, tol=DEFAULT_TOL, grid_n=None):
@@ -107,8 +103,11 @@ def converge_trapezoid(rows_fn, center, half_width, *, tol=DEFAULT_TOL, grid_n=N
 
 
 def _trapz_rows(rows, w):
-    rows = np.atleast_2d(np.asarray(rows))
     h = w[1] - w[0]
+    if not h > 0.0:
+        raise InvalidParameterError(f"quadrature panels near w = {w[0]:.6g} are finer than "
+                                    "float64 resolves there")
+    rows = np.atleast_2d(np.asarray(rows))
     return h * (rows.sum(axis=1) - 0.5 * (rows[:, 0] + rows[:, -1]))
 
 
@@ -123,8 +122,7 @@ def _core_integrals(pulse: PulseSpec, medium: MediumProfile, tol, grid_n):
         x = od0 * float(lorentzian(pulse.detuning))
         pt, ps, n = math.exp(-x), -math.expm1(-x), 0
         tau_t = group_delay(pulse.detuning, od0)
-        with np.errstate(over="ignore"):  # t_g / inf -> tau_S = 1, its dense limit
-            tau_s = 1.0 - tau_t / float(np.expm1(x)) if x > 0 else math.nan
+        tau_s = _scattered_delay_point(pulse.detuning, od0)
         od_eff = x
     else:
         center, half = _spectral_window(pulse)
@@ -144,36 +142,40 @@ def _core_integrals(pulse: PulseSpec, medium: MediumProfile, tol, grid_n):
             "od_eff": float(od_eff), "panels": n}
 
 
-def transmission_probability(pulse: PulseSpec, medium: MediumProfile, *, tol=DEFAULT_TOL, grid_n=None):
+def transmission_probability(pulse: PulseSpec, medium: MediumProfile):
     """(P_T, P_S): probabilities that the photon survives or scatters."""
-    core = _core_integrals(pulse, medium, tol, grid_n)
+    core = _core_integrals(pulse, medium, DEFAULT_TOL, None)
     return core["pt"], core["ps"]
 
 
-def tau_T(pulse: PulseSpec, medium: MediumProfile, *, tol=DEFAULT_TOL, grid_n=None):
+def tau_T(pulse: PulseSpec, medium: MediumProfile):
     """Excited-state dwell time conditioned on transmission.
 
     Negative values are allowed: the transmitted weak value of the excitation
     integrates the group delay over the surviving spectrum.
     """
-    return _core_integrals(pulse, medium, tol, grid_n)["tau_t"]
+    return _core_integrals(pulse, medium, DEFAULT_TOL, None)["tau_t"]
 
 
-def tau_S(pulse: PulseSpec, medium: MediumProfile, *, tol=DEFAULT_TOL, grid_n=None):
-    """Excited-state dwell time conditioned on scattering, from the outcome sum rule."""
+def tau_S(pulse: PulseSpec, medium: MediumProfile):
+    """Excited-state dwell time conditioned on scattering.
+
+    Finite bandwidth: from the outcome sum rule. Narrow band: the per-frequency
+    scattered delay at the carrier, which the sum rule reduces to there.
+    """
     if medium.od0 == 0.0:
-        raise UndefinedConditionalError("nothing scatters at od0 = 0")
-    return _core_integrals(pulse, medium, tol, grid_n)["tau_s"]
+        raise InvalidParameterError("nothing scatters at od0 = 0")
+    return _core_integrals(pulse, medium, DEFAULT_TOL, None)["tau_s"]
 
 
-def scattered_delay(pulse: PulseSpec, medium: MediumProfile, *, tol=DEFAULT_TOL, grid_n=None):
+def scattered_delay(pulse: PulseSpec, medium: MediumProfile):
     """Arrival-time delay of the scattered photon relative to free flight.
 
     Narrow band: closed form. Finite bandwidth: average of the per-frequency
     delay over the scattered part of the spectrum.
     """
     if medium.od0 == 0.0:
-        raise UndefinedConditionalError("nothing scatters at od0 = 0")
+        raise InvalidParameterError("nothing scatters at od0 = 0")
     od0 = medium.od0
     if isinstance(pulse, NarrowBandPulse):
         return float(_scattered_delay_point(pulse.detuning, od0))
@@ -184,7 +186,7 @@ def scattered_delay(pulse: PulseSpec, medium: MediumProfile, *, tol=DEFAULT_TOL,
         weight = dens * -np.expm1(-od0 * lorentzian(w))
         return np.stack([weight, weight * _scattered_delay_point(w, od0)])
 
-    (den, num), _ = converge_trapezoid(rows, center, half, tol=tol, grid_n=grid_n)
+    (den, num), _ = converge_trapezoid(rows, center, half)
     return float(num / den)
 
 
@@ -200,7 +202,7 @@ def _scattered_delay_point(w, od0):
     return t_s
 
 
-def effective_od(pulse: PulseSpec, medium: MediumProfile, *, tol=DEFAULT_TOL, grid_n=None):
+def effective_od(pulse: PulseSpec, medium: MediumProfile):
     """Effective optical depth -ln(P_T) seen by the full pulse spectrum."""
     if isinstance(pulse, NarrowBandPulse):
         return medium.od0 * float(lorentzian(pulse.detuning))
@@ -211,11 +213,11 @@ def effective_od(pulse: PulseSpec, medium: MediumProfile, *, tol=DEFAULT_TOL, gr
         dens = pulse.spectral_density(w)
         return np.stack([dens, dens * np.exp(-od0 * lorentzian(w))])
 
-    (norm, pt_raw), _ = converge_trapezoid(rows, center, half, tol=tol, grid_n=grid_n)
+    (norm, pt_raw), _ = converge_trapezoid(rows, center, half)
     return float(-np.log(pt_raw.real / norm.real))
 
 
-def invert_od_eff(pulse: PulseSpec, od_eff, *, length=1.0, tol=1e-10):
+def invert_od_eff(pulse: PulseSpec, od_eff, *, length=1.0):
     """Resonant optical depth od0 whose effective depth equals od_eff, by bisection."""
     target = float(od_eff)
     if target < 0:
@@ -236,7 +238,7 @@ def invert_od_eff(pulse: PulseSpec, od_eff, *, length=1.0, tol=1e-10):
         hi *= 2.0
         if hi > 1e9:
             raise NumericError(f"no od0 below 1e9 reaches od_eff = {target}")
-    while hi - lo > tol * max(1.0, hi):
+    while hi - lo > OD_EFF_TOL * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         if f(mid) < target:
             lo = mid
@@ -250,9 +252,7 @@ def delay_report(pulse: PulseSpec, medium: MediumProfile, *, tol=DEFAULT_TOL, gr
     core = _core_integrals(pulse, medium, tol, grid_n)
     t_g = t_W = t_S = math.nan
     if isinstance(pulse, NarrowBandPulse):
-        t_g, t_W = core["tau_t"], wigner_delay(pulse.detuning)
-        if medium.od0 > 0:
-            t_S = float(_scattered_delay_point(pulse.detuning, medium.od0))
+        t_g, t_W, t_S = core["tau_t"], wigner_delay(pulse.detuning), core["tau_s"]
     return DelayReport(
         P_T=core["pt"],
         P_S=core["ps"],
@@ -280,15 +280,15 @@ class Asymptotics:
     tau_s_high_od: float
 
 
-def asymptotics(pulse: PulseSpec, medium: MediumProfile, *, tol=DEFAULT_TOL):
+def asymptotics(pulse: PulseSpec, medium: MediumProfile):
     """Dilute- and dense-medium limiting forms for a Gaussian pulse."""
     if not isinstance(pulse, GaussianPulse):
-        raise UnsupportedVariantError("asymptotic forms are derived for Gaussian pulses")
+        raise InvalidParameterError("asymptotic forms are derived for Gaussian pulses")
     if pulse.sigma > 0.2:
         warnings.warn("asymptotics assume sigma * Gamma << 1; sigma exceeds 0.2", stacklevel=2)
     od0 = medium.od0
     sig = pulse.sigma
-    od_eff = effective_od(pulse, medium, tol=tol)
+    od_eff = effective_od(pulse, medium)
     return Asymptotics(
         od_eff=od_eff,
         pt_low_od=1.0 - math.sqrt(math.pi / 2.0) * sig * od0,

@@ -34,12 +34,7 @@ from .domain import (
     TabulatedSpectrumPulse,
     TAIL_CUT,
 )
-from .errors import (
-    InvalidParameterError,
-    NumericError,
-    UndefinedConditionalError,
-    UnsupportedVariantError,
-)
+from .errors import InvalidParameterError, NumericError
 
 RESIDUAL_TOL = 1e-8  # stop once the excited norm has decayed to this fraction of its peak
 MAX_HISTORY_BYTES = 2e9  # refuse grids whose forward + backward beta histories exceed this
@@ -54,7 +49,7 @@ def _time_amplitude(pulse: PulseSpec, t):
         amp = pulse.amplitudes
         phases = np.exp(1j * np.outer(t, w))
         return np.trapezoid(phases * amp[None, :], w, axis=1) / math.sqrt(2.0 * math.pi)
-    raise UnsupportedVariantError("time-domain integration needs a finite-bandwidth pulse")
+    raise InvalidParameterError("time-domain integration needs a finite-bandwidth pulse")
 
 
 def _support_halfwidth(pulse: PulseSpec):
@@ -114,7 +109,7 @@ class GridSpec:
     def build(cls, pulse: PulseSpec, medium: MediumProfile, *, cells_per_medium=200,
               samples_per_sigma=50, settle_time=45.0):
         if isinstance(pulse, NarrowBandPulse):
-            raise UnsupportedVariantError("time-domain integration needs a finite-bandwidth pulse")
+            raise InvalidParameterError("time-domain integration needs a finite-bandwidth pulse")
         if cells_per_medium < 50:
             raise InvalidParameterError(f"medium needs >= 50 cells, got {cells_per_medium}")
         if not 0 <= settle_time < math.inf:
@@ -318,7 +313,7 @@ def integrate_backward(forward: FieldHistory, medium: MediumProfile):
         raise InvalidParameterError("need a forward history")
     grid = forward.grid
     if not forward.p_t > 0:
-        raise UndefinedConditionalError("transmission post-selection needs P_T > 0")
+        raise InvalidParameterError("transmission post-selection needs P_T > 0")
     dz = grid.dz
     nm, ms, nc = grid.n_med, grid.max_steps, grid.n_cells
     n_end = forward.n_rec - 1
@@ -395,7 +390,7 @@ def com_delays(forward: FieldHistory, *, include_scattered=True):
         return transmitted, float("nan")
     wsum = float(np.sum(np.abs(forward.beta) ** 2))
     if wsum <= 0.0:
-        raise UndefinedConditionalError("nothing scatters; scattered delay undefined")
+        raise InvalidParameterError("nothing scatters; scattered delay undefined")
     zc = grid.z_centers[grid.i_med0:grid.i_med0 + grid.n_med]
     w2 = np.abs(forward.beta) ** 2
     val = float((w2 * (forward.times[:, None] - zc[None, :])).sum() / wsum)
@@ -454,7 +449,7 @@ def tau_S_oracle(forward: FieldHistory, medium: MediumProfile):
     f2 = float(np.vdot(f, f).real)
     p_s_td = dt * dz * f2
     if p_s_td <= 0.0:
-        raise UndefinedConditionalError("nothing scatters; conditional time undefined")
+        raise InvalidParameterError("nothing scatters; conditional time undefined")
 
     # the kernel's alpha part in a co-moving buffer: its medium window moves one
     # cell right per adjoint step (restricted to the medium, which is exact there:

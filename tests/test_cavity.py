@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from dwelltime import cavity
 from dwelltime.domain import GaussianPulse, NarrowBandPulse
-from dwelltime.errors import InvalidParameterError, UndefinedConditionalError
+from dwelltime.errors import InvalidParameterError
 
 CP = cavity.CavityParams(1.0, 3.0)
 
@@ -41,7 +41,7 @@ class TestNarrowBand:
             cavity.tau_B_closed(cavity.CavityParams(1.0, 1.0))
 
     def test_matched_cavity_reflects_nothing(self):
-        with pytest.raises(UndefinedConditionalError):
+        with pytest.raises(InvalidParameterError, match="nothing reflects"):
             cavity.tau_B_direct(cavity.CavityParams(1.0, 1.0), NarrowBandPulse(0.0))
 
     def test_negative_while_unconditioned_dwell_positive(self):
@@ -109,7 +109,7 @@ class TestFeynmanSum:
 
     def test_balanced_mirrors_rejected(self):
         mir = cavity.MirrorParams(r1=0.9, r2=0.9, tau_rt=0.01)
-        with pytest.raises(UndefinedConditionalError):
+        with pytest.raises(InvalidParameterError, match="net reflection vanishes at r1 = r2"):
             cavity.feynman_tau_B(mir, 10)
 
     def test_needs_at_least_one_bounce(self):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from dwelltime import cli
 from dwelltime.domain import GaussianPulse, NarrowBandPulse
-from dwelltime.errors import ConfigError
+from dwelltime.errors import ConfigError, DwellTimeError, InvalidParameterError, NumericError
 
 BASE = """
 [pulse]
@@ -262,6 +262,34 @@ kind = timedomain
             cfg = write(tmp_path, BASE + f"\n[quadrature]\ntol = {tol}\n")
             assert cli.main(["run", cfg]) == 3
             assert "cannot be certified" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("detuning,code", [(1e14, 0), (1.8e14, 4), (1e16, 4), (1e100, 4)])
+    def test_window_below_float_resolution_exits_4(self, tmp_path, capsys, detuning, code):
+        # past about 1.5e14 the window's nodes round onto each other; refused
+        # before any row is divided by a zero-width quadrature
+        cfg = write(tmp_path, BASE.replace("sigma = 1.0", f"sigma = 1.0\ndetuning = {detuning}"))
+        assert cli.main(["run", cfg]) == code
+        if code == 4:
+            assert "precondition violation" in capsys.readouterr().err
+
+    # the exit code and stderr prefix documented for each error class
+    DOCUMENTED = {
+        DwellTimeError: (3, "error: "),
+        ConfigError: (2, "config error: "),
+        NumericError: (3, "numeric error: "),
+        InvalidParameterError: (4, "precondition violation: "),
+    }
+
+    @pytest.mark.parametrize("cls", [DwellTimeError, *DwellTimeError.__subclasses__()],
+                             ids=lambda cls: cls.__name__)
+    def test_each_error_class_has_its_exit_code(self, tmp_path, capsys, monkeypatch, cls):
+        def builder():
+            raise cls("boom")
+
+        monkeypatch.setitem(cli.FIGURES, "fig2", builder)
+        code, prefix = self.DOCUMENTED[cls]
+        assert cli.main(["figure", "fig2", str(tmp_path / "x.csv")]) == code
+        assert capsys.readouterr().err == f"{prefix}boom\n"
 
     def test_unknown_figure_exits_4(self, tmp_path, capsys):
         assert cli.main(["figure", "fig9", str(tmp_path / "x.csv")]) == 4

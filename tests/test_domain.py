@@ -18,7 +18,7 @@ from dwelltime.domain import (
     make_uniform_medium,
     od_integral,
 )
-from dwelltime.errors import DomainError, InvalidParameterError
+from dwelltime.errors import InvalidParameterError
 
 
 class TestGaussianPulse:
@@ -113,9 +113,9 @@ class TestMediumProfile:
 
     def test_od_integral_bounds(self):
         m = make_uniform_medium(2.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidParameterError, match=r"z=-0.1 outside \[0, 1.0\]"):
             od_integral(m, -0.1)
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidParameterError, match=r"z=1.1 outside \[0, 1.0\]"):
             od_integral(m, 1.1)
         assert od_integral(m, 0.0) == 0.0
         assert od_integral(m, 1.0) == pytest.approx(2.0, rel=1e-15)

@@ -20,12 +20,7 @@ from dwelltime.domain import (
     make_uniform_medium,
     od_integral,
 )
-from dwelltime.errors import (
-    InvalidParameterError,
-    NumericError,
-    UndefinedConditionalError,
-    UnsupportedVariantError,
-)
+from dwelltime.errors import InvalidParameterError, NumericError
 
 # (sigma, detuning, od0) -> {P_T, tau_T, tau_S, [od_eff]}; sigma None = narrow-band
 FROZEN = [
@@ -174,6 +169,12 @@ class TestDelayReport:
         assert rep.t_W == spectral.wigner_delay(0.7)
         assert rep.t_S == pytest.approx(rep.tau_S, rel=1e-12)
 
+    @pytest.mark.parametrize("detuning,od0", [(1e10, 1e-10), (1e77, 2.0), (1e100, 2.0)])
+    def test_narrowband_tau_s_positive_at_large_detuning(self, detuning, od0):
+        # 1 - t_g / expm1(x) cancels to 0 here, or gives 1 where t_g takes its limit 0
+        rep = spectral.delay_report(NarrowBandPulse(detuning), make_uniform_medium(od0))
+        assert rep.tau_S == rep.t_S > 0.0
+
     def test_empty_medium_leaves_conditional_nan(self):
         rep = spectral.delay_report(make_gaussian_pulse(1.0), make_uniform_medium(0.0))
         assert rep.P_T == pytest.approx(1.0, abs=1e-12)
@@ -181,7 +182,7 @@ class TestDelayReport:
         assert math.isnan(rep.tau_S)
 
     def test_tau_s_raises_without_scattering(self):
-        with pytest.raises(UndefinedConditionalError):
+        with pytest.raises(InvalidParameterError, match="nothing scatters at od0 = 0"):
             spectral.tau_S(make_gaussian_pulse(1.0), make_uniform_medium(0.0))
 
 
@@ -235,7 +236,7 @@ class TestAsymptotics:
             spectral.asymptotics(make_gaussian_pulse(1.0), make_uniform_medium(1.0))
 
     def test_narrowband_has_no_asymptotics(self):
-        with pytest.raises(UnsupportedVariantError):
+        with pytest.raises(InvalidParameterError, match="asymptotic forms are derived for Gaussian pulses"):
             spectral.asymptotics(NarrowBandPulse(0.0), make_uniform_medium(1.0))
 
     def test_dilute_transmitted_form_needs_tiny_bandwidth(self):
