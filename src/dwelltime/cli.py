@@ -43,7 +43,6 @@ SCHEMA = {
     "atom": {"gamma"},
     "engine": {"kind"},
     "grid": {"cells_per_medium", "samples_per_sigma", "settle_time"},
-    "quadrature": {"tol", "grid_n"},
     "output": {"path"},
     "sweep": {"axis", "start", "stop", "count", "spacing"},
 }
@@ -61,8 +60,6 @@ class Scenario:
     atom: AtomParams
     engine: str
     grid_kw: dict
-    tol: float
-    grid_n: int | None
     out_path: str | None
 
 
@@ -185,17 +182,12 @@ def scenario_from_config(cp):
     v = _get(cp, "grid", "settle_time", float)
     if v is not None:
         grid_kw["settle_time"] = v
-    grid_n = _get(cp, "quadrature", "grid_n", int)
-    if grid_n is not None and not spectral.N_START <= grid_n <= spectral.N_CAP:
-        raise ConfigError(f"[quadrature] grid_n must lie in [{spectral.N_START}, {spectral.N_CAP}], got {grid_n}")
     return Scenario(
         pulse=_build_pulse(cp, gamma),
         medium=_build_medium(cp),
         atom=atom,
         engine=engine,
         grid_kw=grid_kw,
-        tol=_get(cp, "quadrature", "tol", float, default=spectral.DEFAULT_TOL),
-        grid_n=grid_n,
         out_path=_get(cp, "output", "path", str),
     )
 
@@ -216,8 +208,7 @@ def run_scenario(scenario: Scenario):
     """Delay reports for one scenario, one per requested engine."""
     reports = []
     if scenario.engine in ("spectral", "both"):
-        reports.append(spectral.delay_report(scenario.pulse, scenario.medium,
-                                            tol=scenario.tol, grid_n=scenario.grid_n))
+        reports.append(spectral.delay_report(scenario.pulse, scenario.medium))
     if scenario.engine in ("timedomain", "both"):
         grid = timedomain.GridSpec.build(scenario.pulse, scenario.medium, **scenario.grid_kw)
         reports.append(timedomain.delay_report_td(scenario.pulse, scenario.medium, grid))
@@ -473,9 +464,7 @@ def cmd_figure(args):
 
 
 def cmd_validate(args):
-    if args.grid_n is not None and not 1 <= args.grid_n <= spectral.N_CAP:
-        raise ConfigError(f"--grid-n must lie in [1, {spectral.N_CAP}], got {args.grid_n}")
-    results = validation.run_validation(args.profile, grid_n=args.grid_n)
+    results = validation.run_validation(args.profile)
     for r in results:
         print(r.line())
     failed = [r.name for r in results if not r.passed]
@@ -507,8 +496,6 @@ def build_parser():
 
     p_val = sub.add_parser("validate", help="run the named cross-validation checks")
     p_val.add_argument("--profile", choices=("fast", "full"), default="fast")
-    p_val.add_argument("--grid-n", type=int, default=None,
-                       help="pin the quadrature panel count (convergence check doubles it)")
     p_val.set_defaults(func=cmd_validate)
     return parser
 

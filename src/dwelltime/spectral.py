@@ -76,46 +76,40 @@ def _spectral_window(pulse: PulseSpec):
     raise InvalidParameterError("narrow-band pulses have no quadrature window")
 
 
-def converge_trapezoid(rows_fn, center, half_width, *, tol=DEFAULT_TOL, grid_n=None):
+def converge_trapezoid(rows_fn, center, half_width):
     """Integrate each row of rows_fn(w) on a doubling uniform grid until stable.
 
-    Stops when every row changes by less than tol * max(|value|, 1) under one
-    doubling. grid_n pins the panel count instead (no convergence check).
-    A tol below double precision, or not finite, raises NumericError.
-    Returns (values, panel_count).
+    Stops when every row changes by less than DEFAULT_TOL * max(|value|, 1)
+    under one doubling. Returns (values, panel_count).
     """
-    if grid_n is not None:
-        w = np.linspace(center - half_width, center + half_width, int(grid_n) + 1)
-        return _trapz_rows(rows_fn(w), w), int(grid_n)
-    if not np.finfo(float).eps <= tol < math.inf:
-        raise NumericError(f"tol={tol} cannot be certified: it must be finite and "
-                           "not below double precision")
     prev = None
     n = N_START
     while n <= N_CAP:
-        w = np.linspace(center - half_width, center + half_width, n + 1)
-        vals = _trapz_rows(rows_fn(w), w)
-        if prev is not None and np.all(np.abs(vals - prev) <= tol * np.maximum(np.abs(vals), 1.0)):
+        vals = _trapezoid(rows_fn, center, half_width, n)
+        if prev is not None and np.all(np.abs(vals - prev) <= DEFAULT_TOL * np.maximum(np.abs(vals), 1.0)):
             return vals, n
         prev = vals
         n *= 2
-    raise NumericError(f"quadrature not converged at {N_CAP} panels (tol={tol})")
+    raise NumericError(f"quadrature not converged at {N_CAP} panels (tol={DEFAULT_TOL})")
 
 
-def _trapz_rows(rows, w):
+def _trapezoid(rows_fn, center, half_width, n):
+    """Trapezoid sum of each row of rows_fn(w) over n uniform panels."""
+    w = np.linspace(center - half_width, center + half_width, n + 1)
     h = w[1] - w[0]
     if not h > 0.0:
         raise InvalidParameterError(f"quadrature panels near w = {w[0]:.6g} are finer than "
                                     "float64 resolves there")
-    rows = np.atleast_2d(np.asarray(rows))
+    rows = np.atleast_2d(np.asarray(rows_fn(w)))
     return h * (rows.sum(axis=1) - 0.5 * (rows[:, 0] + rows[:, -1]))
 
 
-def _core_integrals(pulse: PulseSpec, medium: MediumProfile, tol, grid_n):
+def _core_integrals(pulse: PulseSpec, medium: MediumProfile, grid_n=None):
     """The one pass per case: P_T, P_S, tau_T, tau_S, od_eff and the panel count.
 
     Narrow band: closed forms at the carrier (panels = 0). Finite bandwidth:
-    four real rows (norm, P_T, P_S and the tau_T numerator) on one grid.
+    four real rows (norm, P_T, P_S and the tau_T numerator) on one grid, which
+    converge_trapezoid picks unless grid_n pins its panel count.
     """
     od0 = medium.od0
     if isinstance(pulse, NarrowBandPulse):
@@ -133,7 +127,10 @@ def _core_integrals(pulse: PulseSpec, medium: MediumProfile, tol, grid_n):
             trans = dens * np.exp(-x)
             return np.stack([dens, trans, dens * -np.expm1(-x), trans * group_delay(w, od0)])
 
-        (norm, pt_raw, ps_raw, num), n = converge_trapezoid(rows, center, half, tol=tol, grid_n=grid_n)
+        if grid_n is None:
+            (norm, pt_raw, ps_raw, num), n = converge_trapezoid(rows, center, half)
+        else:
+            (norm, pt_raw, ps_raw, num), n = _trapezoid(rows, center, half, grid_n), grid_n
         pt, ps, tau_t = pt_raw / norm, ps_raw / norm, num / pt_raw
         # 0/0 at od0 = 0, where the scattered channel is empty
         tau_s = 1.0 - num / ps_raw if ps_raw > 0.0 else math.nan
@@ -144,7 +141,7 @@ def _core_integrals(pulse: PulseSpec, medium: MediumProfile, tol, grid_n):
 
 def transmission_probability(pulse: PulseSpec, medium: MediumProfile):
     """(P_T, P_S): probabilities that the photon survives or scatters."""
-    core = _core_integrals(pulse, medium, DEFAULT_TOL, None)
+    core = _core_integrals(pulse, medium)
     return core["pt"], core["ps"]
 
 
@@ -154,7 +151,7 @@ def tau_T(pulse: PulseSpec, medium: MediumProfile):
     Negative values are allowed: the transmitted weak value of the excitation
     integrates the group delay over the surviving spectrum.
     """
-    return _core_integrals(pulse, medium, DEFAULT_TOL, None)["tau_t"]
+    return _core_integrals(pulse, medium)["tau_t"]
 
 
 def tau_S(pulse: PulseSpec, medium: MediumProfile):
@@ -165,7 +162,7 @@ def tau_S(pulse: PulseSpec, medium: MediumProfile):
     """
     if medium.od0 == 0.0:
         raise InvalidParameterError("nothing scatters at od0 = 0")
-    return _core_integrals(pulse, medium, DEFAULT_TOL, None)["tau_s"]
+    return _core_integrals(pulse, medium)["tau_s"]
 
 
 def scattered_delay(pulse: PulseSpec, medium: MediumProfile):
@@ -193,11 +190,17 @@ def scattered_delay(pulse: PulseSpec, medium: MediumProfile):
 def _scattered_delay_point(w, od0):
     """Per-frequency scattered delay; NaN where nothing scatters (x = 0), as tau_S."""
     line = lorentzian(w)
-    x = od0 * line  # > 0 whenever anything scatters
+    x = np.asarray(od0 * line)  # > 0 whenever anything scatters
     # x / inf -> 0 in dense media; the 0 / 0 at x = 0 is overwritten below
     with np.errstate(over="ignore", invalid="ignore"):
         q = 1.0 - 4.0 * np.asarray(w, dtype=float) ** 2
-        t_s = np.asarray(2.0 * line + q * line * (x / np.expm1(x) - 1.0))
+        shift = np.asarray(x / np.expm1(x) - 1.0)
+        # that difference carries an absolute error of about eps, so below
+        # x = 1e-3 its series keeps the relative accuracy of its -x / 2
+        small = x < 1e-3
+        xs = x[small]
+        shift[small] = xs * (xs / 12.0 - 0.5) - xs**4 / 720.0
+        t_s = np.asarray(2.0 * line + q * line * shift)
     t_s[x == 0] = np.nan
     return t_s
 
@@ -247,9 +250,9 @@ def invert_od_eff(pulse: PulseSpec, od_eff, *, length=1.0):
     return 0.5 * (lo + hi)
 
 
-def delay_report(pulse: PulseSpec, medium: MediumProfile, *, tol=DEFAULT_TOL, grid_n=None):
+def delay_report(pulse: PulseSpec, medium: MediumProfile):
     """Full analytic DelayReport for one case; conditional times are NaN at od0 = 0."""
-    core = _core_integrals(pulse, medium, tol, grid_n)
+    core = _core_integrals(pulse, medium)
     t_g = t_W = t_S = math.nan
     if isinstance(pulse, NarrowBandPulse):
         t_g, t_W, t_S = core["tau_t"], wigner_delay(pulse.detuning), core["tau_s"]

@@ -27,6 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .domain import (
+    DelayReport,
     GaussianPulse,
     MediumProfile,
     NarrowBandPulse,
@@ -138,8 +139,8 @@ class FieldHistory:
     """Recorded trajectory of one integration pass, one row per step from t_start.
 
     Both passes fill grid, direction, beta and p_t. The forward pass also fills
-    beta_norm, the snapshots, final_alpha, input_com, monitor and
-    bookkeeping_dev; the backward pass fills overlap. Fields a pass does not
+    tau_avg, the snapshots (the last one at the final step), input_com, monitor
+    and bookkeeping_dev; the backward pass fills overlap. Fields a pass does not
     fill stay None (or 0.0).
     """
 
@@ -147,10 +148,9 @@ class FieldHistory:
     direction: str  # "forward" or "backward"
     beta: np.ndarray  # (n_rec, n_med) excitation amplitude on medium cells
     p_t: float
-    beta_norm: Optional[np.ndarray] = None  # (n_rec,) excited norm
+    tau_avg: float = 0.0  # time integral of the excited norm (trapezoid rule)
     snap_steps: Optional[np.ndarray] = None
     snap_alpha: Optional[np.ndarray] = None  # (n_snap, n_cells)
-    final_alpha: Optional[np.ndarray] = None
     input_com: float = 0.0
     monitor: Optional[np.ndarray] = None  # transmitted amplitude time series
     overlap: Optional[np.ndarray] = None  # <back|fwd> at snapshot steps
@@ -247,9 +247,7 @@ def integrate_forward(pulse: PulseSpec, medium: MediumProfile, grid: GridSpec | 
 
     # rows past the last step stay untouched
     beta_rows = np.empty((ms + 1, nm), dtype=complex)
-    beta_norms = np.empty(ms + 1)
     beta_rows[0] = beta
-    beta_norms[0] = 0.0
     nb = scat = 0.0  # excited norm and Gamma * its time integral so far
     snap_steps = [0]
     snaps = [field[ms:].copy()]
@@ -269,7 +267,6 @@ def integrate_forward(pulse: PulseSpec, medium: MediumProfile, grid: GridSpec | 
         nb_prev, nb = nb, dz * _norm2(beta)
         scat += dt * 0.5 * (nb_prev + nb)  # Gamma = 1
         beta_rows[n] = beta
-        beta_norms[n] = nb
         if n % grid.snap_every == 0:
             snap_steps.append(n)
             snaps.append(field[ms - n:ms - n + nc].copy())
@@ -293,10 +290,9 @@ def integrate_forward(pulse: PulseSpec, medium: MediumProfile, grid: GridSpec | 
         direction="forward",
         beta=beta_rows[:n + 1],
         p_t=float(p_t),
-        beta_norm=beta_norms[:n + 1],
+        tau_avg=scat,  # Gamma = 1
         snap_steps=np.array(snap_steps),
         snap_alpha=np.array(snaps),
-        final_alpha=final_alpha,
         input_com=input_com,
         monitor=field[i_mon - n:i_mon + 1][::-1].copy(),
         bookkeeping_dev=book_dev,
@@ -320,7 +316,7 @@ def integrate_backward(forward: FieldHistory, medium: MediumProfile):
     root = math.sqrt(forward.p_t)
     # same co-moving layout as the forward pass; the window now moves right
     field = np.zeros(ms + nc, dtype=complex)
-    field[ms - n_end:ms - n_end + nc] = forward.final_alpha / root
+    field[ms - n_end:ms - n_end + nc] = forward.snap_alpha[-1] / root
     beta = np.zeros(nm, dtype=complex)
     coef = _coupling_halfstep(medium, grid, -1.0)
 
@@ -372,7 +368,7 @@ def tau_avg_td(forward: FieldHistory):
     """Average dwell time: time integral of the excited-state norm."""
     if forward.direction != "forward":
         raise InvalidParameterError("need a forward history")
-    return float(np.trapezoid(forward.beta_norm, forward.times))
+    return forward.tau_avg
 
 
 def com_delays(forward: FieldHistory, *, include_scattered=True):
@@ -399,8 +395,6 @@ def com_delays(forward: FieldHistory, *, include_scattered=True):
 
 def delay_report_td(pulse: PulseSpec, medium: MediumProfile, grid: GridSpec | None = None):
     """DelayReport from the time-domain engine (tau_S via the outcome sum rule)."""
-    from .domain import DelayReport
-
     fwd = integrate_forward(pulse, medium, grid)
     bwd = integrate_backward(fwd, medium)
     p_t = fwd.p_t

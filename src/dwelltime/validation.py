@@ -25,6 +25,7 @@ from .domain import GaussianPulse, NarrowBandPulse, make_gaussian_pulse, make_un
 
 CASE_SEED = 20250811
 Z_POINTS = 129  # 2**7 + 1 depth samples, so Romberg can halve the step seven times
+GRID_CHECK_PANELS = 8192  # grid_convergence compares this panel count with its double
 
 
 @dataclass
@@ -138,7 +139,7 @@ def check_avg_dwell_identity():
     def run():
         worst = 0.0
         for pulse, medium in cases:
-            core = spectral._core_integrals(pulse, medium, spectral.DEFAULT_TOL, None)
+            core = spectral._core_integrals(pulse, medium)
             worst = max(worst, abs(_field_excitation(pulse, medium, core["panels"]) - core["ps"]))
         return worst
 
@@ -188,7 +189,7 @@ def check_transmitted_closed_form():
         for _ in range(25):
             pulse = GaussianPulse(float(10.0 ** rng.uniform(-1.5, 1.5)), float(rng.uniform(-2, 2)))
             medium = make_uniform_medium(float(rng.uniform(0.05, 15.0)))
-            core = spectral._core_integrals(pulse, medium, spectral.DEFAULT_TOL, None)
+            core = spectral._core_integrals(pulse, medium)
             weak = _field_weak_value(pulse, medium, 2 * core["panels"], core["pt"])
             worst_gap = max(worst_gap, abs(weak - core["tau_t"]))
         return worst_nb, worst_gap
@@ -360,17 +361,16 @@ def check_cavity_identities():
     return CheckResult("cavity_identities", ok, worst_closed, 1e-12, detail=detail, elapsed=dt)
 
 
-def check_grid_convergence(*, grid_n=None):
+def check_grid_convergence():
     """Doubling the quadrature grid leaves every reported time unchanged."""
-    n = int(grid_n) if grid_n is not None else 8192
+    n = GRID_CHECK_PANELS
     pulse = make_gaussian_pulse(0.3, 0.4)
     medium = make_uniform_medium(3.0)
 
     def run():
-        coarse = spectral.delay_report(pulse, medium, grid_n=n)
-        fine = spectral.delay_report(pulse, medium, grid_n=2 * n)
-        return max(abs(getattr(fine, k) - getattr(coarse, k)) / max(abs(getattr(fine, k)), 1.0)
-                   for k in ("tau_T", "tau_S", "P_T"))
+        coarse = spectral._core_integrals(pulse, medium, n)
+        fine = spectral._core_integrals(pulse, medium, 2 * n)
+        return max(abs(fine[k] - coarse[k]) / max(abs(fine[k]), 1.0) for k in ("tau_t", "tau_s", "pt"))
 
     worst, dt = _timed(run)
     return CheckResult("grid_convergence", worst < 1e-9, worst, 1e-9,
@@ -517,7 +517,7 @@ FULL_CHECKS = FAST_CHECKS + (
 )
 
 
-def run_validation(profile="fast", *, grid_n=None):
+def run_validation(profile="fast"):
     """Run the named checks for a profile; returns the list of CheckResults."""
     if profile == "fast":
         checks = FAST_CHECKS
@@ -525,4 +525,4 @@ def run_validation(profile="fast", *, grid_n=None):
         checks = FULL_CHECKS
     else:
         raise ValueError(f"unknown profile {profile!r}")
-    return [fn(grid_n=grid_n) if fn is check_grid_convergence else fn() for fn in checks]
+    return [fn() for fn in checks]

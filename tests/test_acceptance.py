@@ -1,4 +1,4 @@
-"""Acceptance gate: one test per released claim, one summary line each.
+"""Acceptance gate: one test per validation check, one summary line each.
 
 Run with `pytest -s tests/test_acceptance.py` to see the measured margins;
 each line prints the worst observed deviation next to its bound.  The
@@ -56,3 +56,26 @@ def test_cavity_model_identities():
 
 def test_probability_bookkeeping_closes():
     _gate(validation.check_bookkeeping())
+
+
+def test_quadrature_doubling_changes_nothing():
+    _gate(validation.check_grid_convergence())
+
+
+def test_group_delay_is_the_phase_derivative():
+    _gate(validation.check_group_delay_phase_consistency())
+
+
+def test_reports_symmetric_in_detuning_sign():
+    _gate(validation.check_spectral_symmetry())
+
+
+def test_forward_backward_overlap_is_constant():
+    _gate(validation.check_overlap_constancy())
+
+
+def test_every_check_is_gated():
+    """Each check of `validate --profile full` is called by a test above."""
+    called = {name for fn in list(globals().values()) if getattr(fn, "__name__", "").startswith("test_")
+              for name in fn.__code__.co_names}
+    assert {check.__name__ for check in validation.FULL_CHECKS} <= called

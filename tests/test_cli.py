@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dwelltime import cli
+from dwelltime import cli, validation
 from dwelltime.domain import GaussianPulse, NarrowBandPulse
 from dwelltime.errors import ConfigError, DwellTimeError, InvalidParameterError, NumericError
 
@@ -77,7 +77,6 @@ gamma = 2.0
     def test_defaults(self, tmp_path):
         sc = cli.scenario_from_config(cli.load_config(write(tmp_path, BASE)))
         assert sc.engine == "spectral"
-        assert sc.grid_n is None
         assert sc.out_path is None
 
     def test_tabulated_pulse_from_file(self, tmp_path):
@@ -230,15 +229,17 @@ kind = timedomain
         assert cli.main(["run", cfg]) == 4
         assert "sigma must be positive and below" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("grid_n", ["0", "-4", "3"])
-    def test_grid_n_below_start_exits_2(self, tmp_path, capsys, grid_n):
-        cfg = write(tmp_path, BASE + f"\n[quadrature]\ngrid_n = {grid_n}\n")
+    def test_quadrature_section_exits_2(self, tmp_path, capsys):
+        # the quadrature's panel count and tolerance are not settable
+        cfg = write(tmp_path, BASE + "\n[quadrature]\ntol = 1e-6\n")
         assert cli.main(["run", cfg]) == 2
-        assert "grid_n must lie in" in capsys.readouterr().err
+        assert "unknown config section [quadrature]" in capsys.readouterr().err
 
-    def test_validate_grid_n_zero_exits_2(self, capsys):
-        assert cli.main(["validate", "--grid-n", "0"]) == 2
-        assert "--grid-n must lie in" in capsys.readouterr().err
+    def test_validate_grid_n_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["validate", "--grid-n", "256"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --grid-n 256" in capsys.readouterr().err
 
     def test_timedomain_grid_too_large_exits_4(self, tmp_path, capsys):
         # refused by GridSpec before any field or history is allocated
@@ -256,12 +257,11 @@ kind = timedomain
         assert "settle_time must be finite and nonnegative" in capsys.readouterr().err
 
     def test_numeric_failure_exits_3(self, tmp_path, capsys):
-        # a tolerance below machine epsilon, or not finite, is refused by
-        # converge_trapezoid before the first pass
-        for tol in ("1e-30", "nan", "inf"):
-            cfg = write(tmp_path, BASE + f"\n[quadrature]\ntol = {tol}\n")
-            assert cli.main(["run", cfg]) == 3
-            assert "cannot be certified" in capsys.readouterr().err
+        # a pulse of sigma = 1e4 is too narrow in frequency for the 2**20-panel
+        # grid over its window of at least 40 linewidths
+        cfg = write(tmp_path, BASE.replace("sigma = 1.0", "sigma = 1e4"))
+        assert cli.main(["run", cfg]) == 3
+        assert "quadrature not converged at 1048576 panels" in capsys.readouterr().err
 
     @pytest.mark.parametrize("detuning,code", [(1e14, 0), (1.8e14, 4), (1e16, 4), (1e100, 4)])
     def test_window_below_float_resolution_exits_4(self, tmp_path, capsys, detuning, code):
@@ -400,8 +400,9 @@ class TestFigureCommand:
         for col, od0 in zip(mid[1:], cli.FIG3_ODS):
             assert float(col) == pytest.approx(-od0, rel=1e-12)
 
-    def test_validate_underresolved_grid_fails(self, capsys):
-        assert cli.main(["validate", "--grid-n", "256"]) == 1
+    def test_validate_underresolved_grid_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(validation, "GRID_CHECK_PANELS", 256)
+        assert cli.main(["validate"]) == 1
         out = capsys.readouterr().out
         assert "grid_convergence" in out and "FAIL" in out
 
@@ -424,12 +425,6 @@ FUZZ_KEYS = {
     ("medium", "length"): (st.floats(0.5, 2.0).map(repr), EXTREME | JUNK),
     ("medium", "profile_file"): (st.just("ramp.txt"), BAD_FILES),
     ("atom", "gamma"): (st.floats(0.5, 2.0).map(repr), EXTREME | JUNK),
-    ("quadrature", "tol"): (st.sampled_from([None, "1e-6"]), EXTREME | JUNK),
-    # above the cap only 2**20 + 1 and 2**40: without the bound, an 8 TB grid fails to
-    # allocate at once, while a draw in between could fill the machine's memory
-    ("quadrature", "grid_n"): (st.sampled_from([None, "4096"]),
-                               st.sampled_from(["0", "-4", "3", "1023", str(2**20 + 1), str(2**40)])
-                               | st.integers(-2**20, 1023).map(str) | EXTREME | JUNK),
     ("output", "path"): (st.just("out.csv"), st.sampled_from([".", "absent/out.csv"])),
 }
 FILE_KEYS = ("spectrum_file", "profile_file", "path")
@@ -469,7 +464,7 @@ def fuzz_dir(tmp_path_factory):
 @given(fuzz_configs())
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_generated_configs_exit_with_a_code(fuzz_dir, entries):
-    """Any config over the pulse/medium/atom/quadrature/output keys, with keys
+    """Any config over the pulse/medium/atom/output keys, with keys
     missing, junk tokens, non-finite floats and floats from 1e-300 to 1e300,
     gives a report or a typed error: exit 0, 2, 3 or 4, never a traceback.
     The engine is the default spectral one, since a single time-domain config

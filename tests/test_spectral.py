@@ -115,6 +115,21 @@ class TestClosedForms:
         got = spectral.tau_S(NarrowBandPulse(d), make_uniform_medium(od0))
         assert got == pytest.approx(want, rel=1e-14)
 
+    # 2 l + (1 - 4 d^2) l (x / expm1(x) - 1) with l = lorentzian(d), x = od0 l,
+    # evaluated once in 400-digit arithmetic (mpmath) at these float inputs
+    @pytest.mark.parametrize("d,od0,want", [
+        (1e4, 2.0, 7.499999966666667e-09),
+        (1e6, 2.0, 7.499999999996666e-13),
+        (1e8, 2.0, 7.5e-17),
+        (1e77, 2.0, 7.5e-155),
+        (3.0, 0.01, 0.05418187882915787),
+    ])
+    def test_narrowband_scattered_formula_at_small_depth(self, d, od0, want):
+        # x / expm1(x) - 1 has an absolute error of about eps, so a small x
+        # leaves it few correct digits
+        got = spectral.tau_S(NarrowBandPulse(d), make_uniform_medium(od0))
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
     def test_narrowband_transmission(self):
         d, od0 = 0.7, 3.0
         p_t, _ = spectral.transmission_probability(NarrowBandPulse(d), make_uniform_medium(od0))
@@ -277,7 +292,7 @@ def test_quadrature_cap_raises():
         return np.stack([np.cos(1e8 * w).astype(complex)])
 
     with pytest.raises(NumericError):
-        spectral.converge_trapezoid(rows, 0.0, 20.0, tol=1e-12)
+        spectral.converge_trapezoid(rows, 0.0, 20.0)
 
 
 # --- property-based invariants --------------------------------------------
