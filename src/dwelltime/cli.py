@@ -42,7 +42,7 @@ SCHEMA = {
     "medium": {"od0", "length", "profile_file"},
     "atom": {"gamma"},
     "engine": {"kind"},
-    "grid": {"cells_per_medium", "samples_per_sigma", "settle_time"},
+    "grid": {"cells_per_medium"},
     "output": {"path"},
     "sweep": {"axis", "start", "stop", "count", "spacing"},
 }
@@ -59,7 +59,7 @@ class Scenario:
     medium: MediumProfile
     atom: AtomParams
     engine: str
-    grid_kw: dict
+    cells_per_medium: int | None  # time-domain grid; None takes GridSpec.build's default
     out_path: str | None
 
 
@@ -174,20 +174,12 @@ def scenario_from_config(cp):
     engine = _get(cp, "engine", "kind", str, default="spectral").lower()
     if engine not in ENGINES:
         raise ConfigError(f"engine kind must be one of {ENGINES}, got {engine!r}")
-    grid_kw = {}
-    for key in ("cells_per_medium", "samples_per_sigma"):
-        v = _get(cp, "grid", key, int)
-        if v is not None:
-            grid_kw[key] = v
-    v = _get(cp, "grid", "settle_time", float)
-    if v is not None:
-        grid_kw["settle_time"] = v
     return Scenario(
         pulse=_build_pulse(cp, gamma),
         medium=_build_medium(cp),
         atom=atom,
         engine=engine,
-        grid_kw=grid_kw,
+        cells_per_medium=_get(cp, "grid", "cells_per_medium", int),
         out_path=_get(cp, "output", "path", str),
     )
 
@@ -210,7 +202,10 @@ def run_scenario(scenario: Scenario):
     if scenario.engine in ("spectral", "both"):
         reports.append(spectral.delay_report(scenario.pulse, scenario.medium))
     if scenario.engine in ("timedomain", "both"):
-        grid = timedomain.GridSpec.build(scenario.pulse, scenario.medium, **scenario.grid_kw)
+        grid = None
+        if scenario.cells_per_medium is not None:
+            grid = timedomain.GridSpec.build(scenario.pulse, scenario.medium,
+                                             cells_per_medium=scenario.cells_per_medium)
         reports.append(timedomain.delay_report_td(scenario.pulse, scenario.medium, grid))
     return reports
 
@@ -389,15 +384,13 @@ def _fig4_dataset():
     for s in sigmas:
         header += [f"tau_T_sigma_{s:g}", f"tau_S_sigma_{s:g}"]
 
-    nb = NarrowBandPulse(0.0)
+    pulses = [NarrowBandPulse(0.0)] + [GaussianPulse(s, 0.0) for s in sigmas]
     rows = []
     for target in od_eff:
-        m_nb = make_uniform_medium(float(target))  # od_eff = od0 on resonance
-        row = [float(target), spectral.tau_T(nb, m_nb), spectral.tau_S(nb, m_nb)]
-        for s in sigmas:
-            p = GaussianPulse(s, 0.0)
-            m = make_uniform_medium(spectral.invert_od_eff(p, float(target)))
-            row += [spectral.tau_T(p, m), spectral.tau_S(p, m)]
+        row = [float(target)]
+        for p in pulses:
+            rep = spectral.delay_report(p, make_uniform_medium(spectral.invert_od_eff(p, float(target))))
+            row += [rep.tau_T, rep.tau_S]
         rows.append(row)
     comments = [
         "conditional dwell times vs effective optical depth od_eff = -ln P_T, zero detuning",

@@ -104,12 +104,24 @@ def _trapezoid(rows_fn, center, half_width, n):
     return h * (rows.sum(axis=1) - 0.5 * (rows[:, 0] + rows[:, -1]))
 
 
-def _core_integrals(pulse: PulseSpec, medium: MediumProfile, grid_n=None):
+def _core_rows(pulse: PulseSpec, od0):
+    """The four real rows of a finite-bandwidth pass, as a function of w: the
+    spectral norm, P_T, P_S and the tau_T numerator, each unnormalized."""
+
+    def rows(w):
+        dens = pulse.spectral_density(w)
+        x = od0 * lorentzian(w)
+        trans = dens * np.exp(-x)
+        return np.stack([dens, trans, dens * -np.expm1(-x), trans * group_delay(w, od0)])
+
+    return rows
+
+
+def _core_integrals(pulse: PulseSpec, medium: MediumProfile):
     """The one pass per case: P_T, P_S, tau_T, tau_S, od_eff and the panel count.
 
     Narrow band: closed forms at the carrier (panels = 0). Finite bandwidth:
-    four real rows (norm, P_T, P_S and the tau_T numerator) on one grid, which
-    converge_trapezoid picks unless grid_n pins its panel count.
+    the four _core_rows on the grid that converge_trapezoid picks.
     """
     od0 = medium.od0
     if isinstance(pulse, NarrowBandPulse):
@@ -120,17 +132,7 @@ def _core_integrals(pulse: PulseSpec, medium: MediumProfile, grid_n=None):
         od_eff = x
     else:
         center, half = _spectral_window(pulse)
-
-        def rows(w):
-            dens = pulse.spectral_density(w)
-            x = od0 * lorentzian(w)
-            trans = dens * np.exp(-x)
-            return np.stack([dens, trans, dens * -np.expm1(-x), trans * group_delay(w, od0)])
-
-        if grid_n is None:
-            (norm, pt_raw, ps_raw, num), n = converge_trapezoid(rows, center, half)
-        else:
-            (norm, pt_raw, ps_raw, num), n = _trapezoid(rows, center, half, grid_n), grid_n
+        (norm, pt_raw, ps_raw, num), n = converge_trapezoid(_core_rows(pulse, od0), center, half)
         pt, ps, tau_t = pt_raw / norm, ps_raw / norm, num / pt_raw
         # 0/0 at od0 = 0, where the scattered channel is empty
         tau_s = 1.0 - num / ps_raw if ps_raw > 0.0 else math.nan

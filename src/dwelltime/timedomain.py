@@ -39,6 +39,8 @@ from .errors import InvalidParameterError, NumericError
 
 RESIDUAL_TOL = 1e-8  # stop once the excited norm has decayed to this fraction of its peak
 MAX_HISTORY_BYTES = 2e9  # refuse grids whose forward + backward beta histories exceed this
+SAMPLES_PER_SIGMA = 50  # medium cells per pulse duration, at least
+SETTLE_TIME = 45.0  # integration time reserved after the pulse has left the medium
 
 
 def _time_amplitude(pulse: PulseSpec, t):
@@ -79,18 +81,19 @@ class GridSpec:
     t_start: float
     max_steps: int
     t_half: float  # pulse support: |alpha_in(t)| < TAIL_CUT * peak beyond +-t_half
-    snap_every: int = 1
 
     def __post_init__(self):
         if self.n_med < 50:
             raise InvalidParameterError(f"medium needs >= 50 cells, got {self.n_med}")
         if self.max_steps < 1:
             raise InvalidParameterError("max_steps must be positive")
-        history = 2 * self.max_steps * self.n_med * np.dtype(complex).itemsize
+        # in float arithmetic: for a very short pulse the exact integer product
+        # is past float range, where a float gives inf and int -> float raises
+        history = 2.0 * self.max_steps * self.n_med * np.dtype(complex).itemsize
         if history > MAX_HISTORY_BYTES:
             raise InvalidParameterError(
                 f"grid of {self.n_med} medium cells x {self.max_steps} steps needs about "
-                f"{history / 1e9:.1f} GB of beta history (limit {MAX_HISTORY_BYTES / 1e9:.0f} GB); "
+                f"{history / 1e9:.3g} GB of beta history (limit {MAX_HISTORY_BYTES / 1e9:.0f} GB); "
                 "coarsen the grid or use a longer pulse")
 
     @property
@@ -106,32 +109,33 @@ class GridSpec:
         # first cell past the medium exit
         return self.i_med0 + self.n_med
 
+    @property
+    def snap_every(self):
+        # the forward pass snapshots the field at every multiple of this step
+        return max(1, self.max_steps // 40)
+
     @classmethod
-    def build(cls, pulse: PulseSpec, medium: MediumProfile, *, cells_per_medium=200,
-              samples_per_sigma=50, settle_time=45.0):
+    def build(cls, pulse: PulseSpec, medium: MediumProfile, *, cells_per_medium=200):
         if isinstance(pulse, NarrowBandPulse):
             raise InvalidParameterError("time-domain integration needs a finite-bandwidth pulse")
         if cells_per_medium < 50:
             raise InvalidParameterError(f"medium needs >= 50 cells, got {cells_per_medium}")
-        if not 0 <= settle_time < math.inf:
-            raise InvalidParameterError(f"settle_time must be finite and nonnegative, got {settle_time}")
         length = medium.length
         t_half = float(_support_halfwidth(pulse))
         sigma = pulse.sigma if isinstance(pulse, GaussianPulse) else t_half / 6.0
-        n_med = max(int(cells_per_medium), int(math.ceil(length * samples_per_sigma / sigma)))
+        n_med = max(int(cells_per_medium), int(math.ceil(length * SAMPLES_PER_SIGMA / sigma)))
         dz = length / n_med
         m_lead = int(math.ceil(t_half / dz)) + 2  # pulse center to medium entrance
         m_hold = int(math.ceil(t_half / dz)) + 2  # entrance to left edge
         t_start = -m_lead * dz
         z_min = t_start - m_hold * dz
-        t_end_max = t_half + length + settle_time
+        t_end_max = t_half + length + SETTLE_TIME
         max_steps = int(math.ceil((t_end_max - t_start) / dz))
         # right edge beyond the light cone of the whole run
         n_right = max_steps + 2
         n_cells = m_lead + m_hold + n_med + n_right
-        snap_every = max(1, max_steps // 40)
         return cls(dz=dz, z_min=z_min, n_cells=n_cells, i_med0=m_lead + m_hold, n_med=n_med,
-                   t_start=t_start, max_steps=max_steps, t_half=t_half, snap_every=snap_every)
+                   t_start=t_start, max_steps=max_steps, t_half=t_half)
 
 
 @dataclass
@@ -139,9 +143,10 @@ class FieldHistory:
     """Recorded trajectory of one integration pass, one row per step from t_start.
 
     Both passes fill grid, direction, beta and p_t. The forward pass also fills
-    tau_avg, the snapshots (the last one at the final step), input_com, monitor
-    and bookkeeping_dev; the backward pass fills overlap. Fields a pass does not
-    fill stay None (or 0.0).
+    tau_avg, the snapshots (at every multiple of grid.snap_every and at the
+    final step, so the first is the input field) and bookkeeping_dev; the
+    backward pass fills overlap at the same steps. Fields a pass does not fill
+    stay None (or 0.0).
     """
 
     grid: GridSpec
@@ -149,10 +154,7 @@ class FieldHistory:
     beta: np.ndarray  # (n_rec, n_med) excitation amplitude on medium cells
     p_t: float
     tau_avg: float = 0.0  # time integral of the excited norm (trapezoid rule)
-    snap_steps: Optional[np.ndarray] = None
     snap_alpha: Optional[np.ndarray] = None  # (n_snap, n_cells)
-    input_com: float = 0.0
-    monitor: Optional[np.ndarray] = None  # transmitted amplitude time series
     overlap: Optional[np.ndarray] = None  # <back|fwd> at snapshot steps
     bookkeeping_dev: float = 0.0  # max |alpha norm + beta norm + scattered - 1| over steps
 
@@ -233,23 +235,18 @@ def integrate_forward(pulse: PulseSpec, medium: MediumProfile, grid: GridSpec | 
     dz = grid.dz
     dt = grid.dt
     nm, ms, nc = grid.n_med, grid.max_steps, grid.n_cells
-    zc = grid.z_centers
     # Co-moving frame: lab cell i at step n is field[ms + i - n], so free flight
     # is the index offset and each half step touches only the medium window.
     field = np.zeros(ms + nc, dtype=complex)
     field[ms:] = _initial_field(pulse, grid)
     beta = np.zeros(nm, dtype=complex)
     coef = _coupling_halfstep(medium, grid, 1.0)
-
-    w = np.abs(field[ms:]) ** 2
-    na = dz * float(w.sum())
-    input_com = float((w * (grid.t_start - zc)).sum() / w.sum())
+    na = dz * float((np.abs(field[ms:]) ** 2).sum())
 
     # rows past the last step stay untouched
     beta_rows = np.empty((ms + 1, nm), dtype=complex)
     beta_rows[0] = beta
     nb = scat = 0.0  # excited norm and Gamma * its time integral so far
-    snap_steps = [0]
     snaps = [field[ms:].copy()]
 
     t_min_end = medium.length + grid.t_half + 4 * dz
@@ -268,7 +265,6 @@ def integrate_forward(pulse: PulseSpec, medium: MediumProfile, grid: GridSpec | 
         scat += dt * 0.5 * (nb_prev + nb)  # Gamma = 1
         beta_rows[n] = beta
         if n % grid.snap_every == 0:
-            snap_steps.append(n)
             snaps.append(field[ms - n:ms - n + nc].copy())
         book_dev = max(book_dev, abs(na + nb + scat - 1.0))
         peak_beta = max(peak_beta, nb)
@@ -278,23 +274,16 @@ def integrate_forward(pulse: PulseSpec, medium: MediumProfile, grid: GridSpec | 
         raise NumericError(
             f"excited norm did not settle below {RESIDUAL_TOL} of peak within {ms} steps")
     final_alpha = field[ms - n:ms - n + nc]
-    if snap_steps[-1] != n:
-        snap_steps.append(n)
+    if n % grid.snap_every:
         snaps.append(final_alpha.copy())
     p_t = dz * _norm2(final_alpha) + nb  # exact, and >= 0 in opaque media
-    # a cell right of the window never changes again, so the monitor's series
-    # (lab cell i_monitor at steps 0..n) is one reversed offset view
-    i_mon = ms + grid.i_monitor
     return FieldHistory(
         grid=grid,
         direction="forward",
         beta=beta_rows[:n + 1],
         p_t=float(p_t),
         tau_avg=scat,  # Gamma = 1
-        snap_steps=np.array(snap_steps),
         snap_alpha=np.array(snaps),
-        input_com=input_com,
-        monitor=field[i_mon - n:i_mon + 1][::-1].copy(),
         bookkeeping_dev=book_dev,
     )
 
@@ -322,13 +311,13 @@ def integrate_backward(forward: FieldHistory, medium: MediumProfile):
 
     beta_rows = np.empty((n_end + 1, nm), dtype=complex)
     beta_rows[n_end] = beta
-    snap_lookup = {int(s): k for k, s in enumerate(forward.snap_steps)}
-    overlaps = np.full(forward.snap_steps.size, np.nan + 0j, dtype=complex)
+    overlaps = np.full(len(forward.snap_alpha), np.nan + 0j, dtype=complex)
 
     def record_overlap(step_idx):
-        k = snap_lookup.get(step_idx)
-        if k is None:
+        # at the forward snapshots: each multiple of snap_every, and the final step
+        if step_idx % grid.snap_every and step_idx != n_end:
             return
+        k = -1 if step_idx == n_end else step_idx // grid.snap_every
         alpha = field[ms - step_idx:ms - step_idx + nc]
         ov = np.vdot(alpha, forward.snap_alpha[k]) + np.vdot(beta, forward.beta[step_idx])
         overlaps[k] = dz * ov
@@ -373,24 +362,29 @@ def tau_avg_td(forward: FieldHistory):
 
 def com_delays(forward: FieldHistory, *, include_scattered=True):
     """Center-of-mass delays (transmitted, scattered) relative to free flight."""
-    if forward.direction != "forward" or forward.monitor is None:
-        raise InvalidParameterError("need a forward history with a monitor series")
+    if forward.direction != "forward":
+        raise InvalidParameterError("need a forward history")
     grid = forward.grid
-    m = np.abs(forward.monitor) ** 2
+    zc = grid.z_centers
+    w0 = np.abs(forward.snap_alpha[0]) ** 2  # the input field, at step 0
+    input_com = float((w0 * (grid.t_start - zc)).sum() / w0.sum())
+    # the monitor cell at steps 0..n: a cell right of the medium window never
+    # changes again, so the final field holds the whole series, reversed
+    i_mon, n = grid.i_monitor, forward.n_rec - 1
+    m = np.abs(forward.snap_alpha[-1][i_mon:i_mon + n + 1][::-1]) ** 2
     if m.sum() <= 0:
         raise NumericError("no transmitted amplitude reached the monitor")
-    z_out = grid.z_centers[grid.i_monitor]
     t_out = float((m * forward.times).sum() / m.sum())
-    transmitted = t_out - z_out - forward.input_com
+    transmitted = float(t_out - zc[i_mon] - input_com)
     if not include_scattered:
         return transmitted, float("nan")
-    wsum = float(np.sum(np.abs(forward.beta) ** 2))
+    w2 = np.abs(forward.beta) ** 2
+    wsum = float(np.sum(w2))
     if wsum <= 0.0:
         raise InvalidParameterError("nothing scatters; scattered delay undefined")
-    zc = grid.z_centers[grid.i_med0:grid.i_med0 + grid.n_med]
-    w2 = np.abs(forward.beta) ** 2
-    val = float((w2 * (forward.times[:, None] - zc[None, :])).sum() / wsum)
-    return transmitted, val - forward.input_com
+    zm = zc[grid.i_med0:grid.i_med0 + grid.n_med]
+    val = float((w2 * (forward.times[:, None] - zm[None, :])).sum() / wsum)
+    return transmitted, val - input_com
 
 
 def delay_report_td(pulse: PulseSpec, medium: MediumProfile, grid: GridSpec | None = None):

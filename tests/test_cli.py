@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dwelltime import cli, validation
-from dwelltime.domain import GaussianPulse, NarrowBandPulse
+from dwelltime import cli, spectral, timedomain
+from dwelltime.domain import GaussianPulse, NarrowBandPulse, make_uniform_medium
 from dwelltime.errors import ConfigError, DwellTimeError, InvalidParameterError, NumericError
 
 BASE = """
@@ -77,6 +77,7 @@ gamma = 2.0
     def test_defaults(self, tmp_path):
         sc = cli.scenario_from_config(cli.load_config(write(tmp_path, BASE)))
         assert sc.engine == "spectral"
+        assert sc.cells_per_medium is None
         assert sc.out_path is None
 
     def test_tabulated_pulse_from_file(self, tmp_path):
@@ -168,6 +169,17 @@ class TestExitCodes:
         # engines agree on the transmitted dwell time within their tolerance
         assert float(rows[1][3]) == pytest.approx(float(rows[0][3]), rel=0.02)
 
+    def test_cells_per_medium_reaches_the_grid(self, tmp_path):
+        out = tmp_path / "report.csv"
+        cfg = write(tmp_path, BASE + "\n[engine]\nkind = timedomain\n[grid]\ncells_per_medium = 60\n"
+                                     f"[output]\npath = {out}\n")
+        assert cli.main(["run", cfg]) == 0
+        _, rows = read_rows(out)
+        pulse, medium = GaussianPulse(1.0, 0.0), make_uniform_medium(2.0)
+        grid = timedomain.GridSpec.build(pulse, medium, cells_per_medium=60)
+        p_t = timedomain.delay_report_td(pulse, medium, grid).P_T
+        assert float(rows[0][0]) == pytest.approx(p_t, rel=1e-11)
+
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         cfg = write(tmp_path, BASE + "\nbroken line without section\n")
         assert cli.main(["run", cfg]) == 2
@@ -248,13 +260,21 @@ kind = timedomain
         assert cli.main(["run", cfg]) == 4
         assert "beta history" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("settle_time", ["nan", "inf", "-1"])
-    def test_bad_settle_time_exits_4(self, tmp_path, capsys, settle_time):
-        # refused by GridSpec.build before the grid is sized
-        cfg = write(tmp_path, BASE + "\n[engine]\nkind = timedomain\n"
-                              f"[grid]\nsettle_time = {settle_time}\n")
+    @pytest.mark.parametrize("entry", ["sigma = 1e-200", "sigma = 1.0\n[atom]\ngamma = 1e-300"],
+                             ids=["sigma_1e-200", "gamma_1e-300"])
+    def test_very_short_pulse_timedomain_exits_4(self, tmp_path, capsys, entry):
+        # the history's byte count is past float range, and is refused as such
+        cfg = write(tmp_path, f"[pulse]\nkind = gaussian\n{entry}\n"
+                              "[medium]\nod0 = 2.0\n[engine]\nkind = timedomain\n")
         assert cli.main(["run", cfg]) == 4
-        assert "settle_time must be finite and nonnegative" in capsys.readouterr().err
+        assert "beta history" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", ["settle_time = 45", "samples_per_sigma = 50"])
+    def test_fixed_grid_settings_exit_2(self, tmp_path, capsys, entry):
+        # only cells_per_medium of the time-domain grid is settable
+        cfg = write(tmp_path, BASE + f"\n[engine]\nkind = timedomain\n[grid]\n{entry}\n")
+        assert cli.main(["run", cfg]) == 2
+        assert f"unknown key {entry.split()[0]!r} in section [grid]" in capsys.readouterr().err
 
     def test_numeric_failure_exits_3(self, tmp_path, capsys):
         # a pulse of sigma = 1e4 is too narrow in frequency for the 2**20-panel
@@ -401,10 +421,11 @@ class TestFigureCommand:
             assert float(col) == pytest.approx(-od0, rel=1e-12)
 
     def test_validate_underresolved_grid_fails(self, capsys, monkeypatch):
-        monkeypatch.setattr(validation, "GRID_CHECK_PANELS", 256)
+        # a loose stopping rule leaves a doubling change of about 4e-4
+        monkeypatch.setattr(spectral, "DEFAULT_TOL", 1e-3)
         assert cli.main(["validate"]) == 1
-        out = capsys.readouterr().out
-        assert "grid_convergence" in out and "FAIL" in out
+        line = next(ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("grid_convergence"))
+        assert line.split("  [")[0].endswith("FAIL")
 
 
 # --- generated configs ------------------------------------------------------

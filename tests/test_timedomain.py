@@ -37,6 +37,11 @@ class TestGridSpec:
         with pytest.raises(InvalidParameterError, match="needs a finite-bandwidth pulse"):
             timedomain.GridSpec.build(NarrowBandPulse(0.0), MEDIUM)
 
+    @pytest.mark.parametrize("key", ["samples_per_sigma", "settle_time"])
+    def test_only_cells_per_medium_is_settable(self, key):
+        with pytest.raises(TypeError, match=key):
+            timedomain.GridSpec.build(PULSE, MEDIUM, **{key: 1})
+
     def test_rejects_coarse_medium(self):
         with pytest.raises(InvalidParameterError):
             timedomain.GridSpec.build(PULSE, MEDIUM, cells_per_medium=10)
@@ -82,7 +87,9 @@ class TestForward:
 
     def test_input_com_centered(self, run_default):
         fwd, _ = run_default
-        assert abs(fwd.input_com) < 1e-9
+        grid = fwd.grid
+        w = np.abs(fwd.snap_alpha[0]) ** 2  # the input field, at step 0
+        assert abs((w * (grid.t_start - grid.z_centers)).sum() / w.sum()) < 1e-9
 
 
 class TestBackward:
@@ -122,6 +129,13 @@ class TestCenterOfMass:
         fwd, _ = run_default
         _, scattered = timedomain.com_delays(fwd)
         assert scattered == pytest.approx(spectral.tau_S(PULSE, MEDIUM), rel=1e-3)
+
+    def test_delays_pinned(self, run_default):
+        fwd, _ = run_default
+        transmitted, scattered = timedomain.com_delays(fwd)
+        assert type(transmitted) is float and type(scattered) is float
+        assert transmitted == pytest.approx(-0.3009763732701915, rel=1e-12)
+        assert scattered == pytest.approx(1.135912604582643, rel=1e-12)
 
     def test_scattered_skipped_on_request(self, run_default):
         fwd, _ = run_default
