@@ -34,15 +34,10 @@ from .spectral import (
     Asymptotics,
     asymptotics,
     delay_report,
-    effective_od,
     group_delay,
     invert_od_eff,
     lorentzian,
-    medium_response,
     scattered_delay,
-    tau_S,
-    tau_T,
-    transmission_probability,
     wigner_delay,
 )
 from .timedomain import (
@@ -84,7 +79,6 @@ __all__ = [
     "delay_report",
     "delay_report_td",
     "dwell_avg",
-    "effective_od",
     "feynman_tau_B",
     "group_delay",
     "integrate_backward",
@@ -94,7 +88,6 @@ __all__ = [
     "make_gaussian_pulse",
     "make_tabulated_medium",
     "make_uniform_medium",
-    "medium_response",
     "mirror_map",
     "od_integral",
     "run_validation",
@@ -102,12 +95,9 @@ __all__ = [
     "scattered_delay",
     "tau_B_closed",
     "tau_B_direct",
-    "tau_S",
     "tau_S_oracle",
-    "tau_T",
     "tau_T_td",
     "tau_avg_td",
-    "transmission_probability",
     "weak_trace",
     "wigner_delay",
 ]

@@ -46,27 +46,27 @@ class MirrorParams:
             raise InvalidParameterError("round-trip time must be positive")
 
 
-def _cavity_window(params: CavityParams, pulse: PulseSpec):
+def _spectral_integrals(params: CavityParams, pulse: PulseSpec, rows):
+    """Integrals of each row of rows(w, dens) over the pulse spectrum, dens its
+    spectral density; a narrow-band pulse gives rows(detuning, 1.0)."""
+    if isinstance(pulse, NarrowBandPulse):
+        return np.stack(rows(pulse.detuning, 1.0))
     center, half = _spectral_window(pulse)
-    return center, max(half, 10.0 * (params.gamma1 + params.gamma2))
+    half = max(half, 10.0 * (params.gamma1 + params.gamma2))
+    vals, _ = converge_trapezoid(lambda w: np.stack(rows(w, pulse.spectral_density(w))), center, half)
+    return vals
 
 
 def scatter_probabilities(params: CavityParams, pulse: PulseSpec):
     """(P_ref, P_tr): probabilities of leaving through the input or output mirror."""
     g1, g2 = params.gamma1, params.gamma2
-    if isinstance(pulse, NarrowBandPulse):
-        d = pulse.detuning
-        den = (g1 + g2) ** 2 + 4.0 * d * d
-        p_ref = ((g2 - g1) ** 2 + 4.0 * d * d) / den
-        return p_ref, 1.0 - p_ref
 
-    def rows(w):
-        dens = pulse.spectral_density(w)
+    def rows(w, dens):
         den = (g1 + g2) ** 2 + 4.0 * w * w
-        return np.stack([dens, dens * ((g2 - g1) ** 2 + 4.0 * w * w) / den])
+        return dens, dens * ((g2 - g1) ** 2 + 4.0 * w * w) / den
 
-    (norm, ref_raw), _ = converge_trapezoid(rows, *_cavity_window(params, pulse))
-    p_ref = float(ref_raw.real / norm.real)
+    norm, ref_raw = _spectral_integrals(params, pulse, rows)
+    p_ref = float(ref_raw / norm)
     return p_ref, 1.0 - p_ref
 
 
@@ -76,37 +76,24 @@ def dwell_avg(params: CavityParams, pulse: PulseSpec):
     Equals P_tr / gamma2, since output leakage drains the mode at rate gamma2.
     """
     g1, g2 = params.gamma1, params.gamma2
-    if isinstance(pulse, NarrowBandPulse):
-        d = pulse.detuning
-        return 4.0 * g1 / ((g1 + g2) ** 2 + 4.0 * d * d)
 
-    def rows(w):
-        dens = pulse.spectral_density(w)
-        return np.stack([dens, dens * 4.0 * g1 / ((g1 + g2) ** 2 + 4.0 * w * w)])
+    def rows(w, dens):
+        return dens, dens * 4.0 * g1 / ((g1 + g2) ** 2 + 4.0 * w * w)
 
-    (norm, raw), _ = converge_trapezoid(rows, *_cavity_window(params, pulse))
-    return float(raw.real / norm.real)
+    norm, raw = _spectral_integrals(params, pulse, rows)
+    return float(raw / norm)
 
 
 def tau_B_direct(params: CavityParams, pulse: PulseSpec):
     """Dwell time conditioned on back-reflection, from the weak-value integral."""
     g1, g2 = params.gamma1, params.gamma2
-    if isinstance(pulse, NarrowBandPulse):
-        d = pulse.detuning
-        p_ref = ((g2 - g1) ** 2 + 4.0 * d * d) / ((g1 + g2) ** 2 + 4.0 * d * d)
-        if p_ref <= 0.0:
-            raise InvalidParameterError("nothing reflects; conditional dwell undefined")
-        num = (g1 - g2 + 2j * d) / ((g1 + g2 + 2j * d) * ((g1 + g2) ** 2 + 4.0 * d * d))
-        return float(4.0 * g1 * np.real(num) / p_ref)
 
-    def rows(w):
-        dens = pulse.spectral_density(w)
+    def rows(w, dens):
         den2 = (g1 + g2) ** 2 + 4.0 * w * w
         ref2 = ((g2 - g1) ** 2 + 4.0 * w * w) / den2
-        num = dens * (g1 - g2 + 2j * w) / ((g1 + g2 + 2j * w) * den2)
-        return np.stack([(dens * ref2).astype(complex), num])
+        return dens * ref2, dens * (g1 - g2 + 2j * w) / ((g1 + g2 + 2j * w) * den2)
 
-    (ref_raw, num_raw), _ = converge_trapezoid(rows, *_cavity_window(params, pulse))
+    ref_raw, num_raw = _spectral_integrals(params, pulse, rows)
     if not ref_raw.real > 0.0:
         raise InvalidParameterError("nothing reflects; conditional dwell undefined")
     return float(4.0 * g1 * np.real(num_raw) / ref_raw.real)

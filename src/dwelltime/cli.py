@@ -294,7 +294,7 @@ def _sweep_scenario(scenario: Scenario, sweep: SweepSpec, value):
     if sweep.axis == "od_eff":
         if scenario.medium.g0 is None:
             raise ConfigError("od_eff sweep needs a uniform medium, not a profile file")
-        od0 = spectral.invert_od_eff(scenario.pulse, value, length=scenario.medium.length)
+        od0 = spectral.invert_od_eff(scenario.pulse, value)
         return replace(scenario, medium=make_uniform_medium(od0, scenario.medium.length))
     if sweep.axis == "detuning":
         p = scenario.pulse
@@ -339,7 +339,7 @@ def _fig2_dataset():
     for od0 in od_grid:
         m = make_uniform_medium(float(od0))
         rows.append([float(od0), spectral.group_delay(0.0, m.od0)] + [
-            spectral.tau_T(p, m) for p in pulses])
+            spectral.delay_report(p, m).tau_T for p in pulses])
     comments = [
         "transmitted dwell time tau_T vs resonant optical depth at zero detuning",
         "tau_T: weak value of the excited-state occupation conditioned on transmission;"
@@ -366,7 +366,7 @@ def _fig3_dataset(which):
         header = ["detuning"] + [f"tau_S_od0_{od:g}" for od in FIG3_ODS]
         for d in d_grid:
             nb = NarrowBandPulse(float(d))
-            rows.append([float(d)] + [spectral.tau_S(nb, m) for m in media])
+            rows.append([float(d)] + [spectral.delay_report(nb, m).tau_S for m in media])
         comments = [
             "scattered-post-selected dwell time tau_S vs detuning, narrow-band limit",
             "tau_S = (1 - t_g/(exp(x) - 1))/gamma with x the absorbed depth OD0/(1+4 detuning^2)",
@@ -410,13 +410,12 @@ def _fig_asym_dataset(which):
     rows = []
     for target in od_eff:
         m = make_uniform_medium(spectral.invert_od_eff(pulse, float(target)))
-        asym = spectral.asymptotics(pulse, m)
+        rep = spectral.delay_report(pulse, m)
+        asym = spectral.asymptotics(pulse, m, rep.od_eff)
         if which == "F":
-            rows.append([float(target), m.od0, spectral.tau_S(pulse, m),
-                         asym.tau_s_low_od, asym.tau_s_high_od])
+            rows.append([float(target), m.od0, rep.tau_S, asym.tau_s_low_od, asym.tau_s_high_od])
         else:
-            rows.append([float(target), m.od0, spectral.tau_T(pulse, m),
-                         asym.tau_t_low_od, asym.tau_t_high_od])
+            rows.append([float(target), m.od0, rep.tau_T, asym.tau_t_low_od, asym.tau_t_high_od])
     if which == "F":
         header = ["od_eff", "od0", "tau_S_exact", "tau_S_dilute", "tau_S_dense"]
         comments = [

@@ -21,8 +21,6 @@ from .domain import (
     NarrowBandPulse,
     PulseSpec,
     TabulatedSpectrumPulse,
-    make_uniform_medium,
-    od_integral,
 )
 from .errors import InvalidParameterError, NumericError
 
@@ -55,14 +53,6 @@ def group_delay(detuning, od0):
 def wigner_delay(detuning):
     """Scattering phase derivative of a single atom, 2 * lorentzian(detuning)."""
     return 2.0 * float(lorentzian(detuning))
-
-
-def medium_response(medium: MediumProfile, z, omega):
-    """Accumulated optical depth and phase at depth z: (od, phase) with phase = -w * od."""
-    od_z = od_integral(medium, z)
-    w = np.asarray(omega, dtype=float)
-    od = od_z * lorentzian(w)
-    return od, -w * od
 
 
 def _spectral_window(pulse: PulseSpec):
@@ -133,6 +123,9 @@ def _core_integrals(pulse: PulseSpec, medium: MediumProfile):
     else:
         center, half = _spectral_window(pulse)
         (norm, pt_raw, ps_raw, num), n = converge_trapezoid(_core_rows(pulse, od0), center, half)
+        if not pt_raw > 0.0:
+            raise InvalidParameterError(f"P_T underflows to 0 at od0 = {od0:.6g}; "
+                                        "the transmitted spectrum is below float64 range")
         pt, ps, tau_t = pt_raw / norm, ps_raw / norm, num / pt_raw
         # 0/0 at od0 = 0, where the scattered channel is empty
         tau_s = 1.0 - num / ps_raw if ps_raw > 0.0 else math.nan
@@ -141,14 +134,18 @@ def _core_integrals(pulse: PulseSpec, medium: MediumProfile):
             "od_eff": float(od_eff), "panels": n}
 
 
+# transmission_probability, tau_T and tau_S each return fields of delay_report
+# from a pass of their own. Nothing in the package calls them; they are kept
+# because the benchmark in perfbench/ does.
+
 def transmission_probability(pulse: PulseSpec, medium: MediumProfile):
-    """(P_T, P_S): probabilities that the photon survives or scatters."""
+    """(P_T, P_S) of delay_report: probabilities that the photon survives or scatters."""
     core = _core_integrals(pulse, medium)
     return core["pt"], core["ps"]
 
 
 def tau_T(pulse: PulseSpec, medium: MediumProfile):
-    """Excited-state dwell time conditioned on transmission.
+    """tau_T of delay_report: excited-state dwell time conditioned on transmission.
 
     Negative values are allowed: the transmitted weak value of the excitation
     integrates the group delay over the surviving spectrum.
@@ -157,10 +154,11 @@ def tau_T(pulse: PulseSpec, medium: MediumProfile):
 
 
 def tau_S(pulse: PulseSpec, medium: MediumProfile):
-    """Excited-state dwell time conditioned on scattering.
+    """tau_S of delay_report: excited-state dwell time conditioned on scattering.
 
     Finite bandwidth: from the outcome sum rule. Narrow band: the per-frequency
     scattered delay at the carrier, which the sum rule reduces to there.
+    Raises where delay_report gives NaN, at od0 = 0.
     """
     if medium.od0 == 0.0:
         raise InvalidParameterError("nothing scatters at od0 = 0")
@@ -207,23 +205,8 @@ def _scattered_delay_point(w, od0):
     return t_s
 
 
-def effective_od(pulse: PulseSpec, medium: MediumProfile):
-    """Effective optical depth -ln(P_T) seen by the full pulse spectrum."""
-    if isinstance(pulse, NarrowBandPulse):
-        return medium.od0 * float(lorentzian(pulse.detuning))
-    center, half = _spectral_window(pulse)
-    od0 = medium.od0
-
-    def rows(w):
-        dens = pulse.spectral_density(w)
-        return np.stack([dens, dens * np.exp(-od0 * lorentzian(w))])
-
-    (norm, pt_raw), _ = converge_trapezoid(rows, center, half)
-    return float(-np.log(pt_raw.real / norm.real))
-
-
-def invert_od_eff(pulse: PulseSpec, od_eff, *, length=1.0):
-    """Resonant optical depth od0 whose effective depth equals od_eff, by bisection."""
+def invert_od_eff(pulse: PulseSpec, od_eff):
+    """Resonant optical depth od0 whose effective depth -ln P_T equals od_eff, by bisection."""
     target = float(od_eff)
     if target < 0:
         raise InvalidParameterError(f"od_eff must be nonnegative, got {target}")
@@ -231,9 +214,16 @@ def invert_od_eff(pulse: PulseSpec, od_eff, *, length=1.0):
         return 0.0
     if isinstance(pulse, NarrowBandPulse):
         return target / float(lorentzian(pulse.detuning))
+    center, half = _spectral_window(pulse)
 
     def f(od0):
-        return effective_od(pulse, make_uniform_medium(od0, length))
+        # -ln P_T from the two rows it needs, not the full pass of delay_report
+        def rows(w):
+            dens = pulse.spectral_density(w)
+            return np.stack([dens, dens * np.exp(-od0 * lorentzian(w))])
+
+        (norm, pt_raw), _ = converge_trapezoid(rows, center, half)
+        return float(-np.log(pt_raw / norm))
 
     # od_eff <= od0 always, so od0 = target is a valid lower bracket
     lo = target
@@ -285,15 +275,15 @@ class Asymptotics:
     tau_s_high_od: float
 
 
-def asymptotics(pulse: PulseSpec, medium: MediumProfile):
-    """Dilute- and dense-medium limiting forms for a Gaussian pulse."""
+def asymptotics(pulse: PulseSpec, medium: MediumProfile, od_eff):
+    """Dilute- and dense-medium limiting forms for a Gaussian pulse, given the
+    case's effective depth od_eff (delay_report(pulse, medium).od_eff)."""
     if not isinstance(pulse, GaussianPulse):
         raise InvalidParameterError("asymptotic forms are derived for Gaussian pulses")
     if pulse.sigma > 0.2:
         warnings.warn("asymptotics assume sigma * Gamma << 1; sigma exceeds 0.2", stacklevel=2)
     od0 = medium.od0
     sig = pulse.sigma
-    od_eff = effective_od(pulse, medium)
     return Asymptotics(
         od_eff=od_eff,
         pt_low_od=1.0 - math.sqrt(math.pi / 2.0) * sig * od0,

@@ -9,8 +9,8 @@ The field is stored in the co-moving frame: lab cell i at step n lives at
 retarded index max_steps + i - n of one array, so free flight is an index
 offset rather than a copy, and each half step reads and writes only the n_med
 cells under the medium. The work per step is O(n_med); the stored beta
-histories still take O(steps * n_med) memory, and GridSpec rejects a grid
-whose two histories would exceed MAX_HISTORY_BYTES.
+histories still take O(steps * n_med) memory, and GridSpec.build rejects a
+grid whose two histories would exceed MAX_HISTORY_BYTES.
 
 The domain is sized so the forward run loses nothing at a boundary: the right
 edge lies beyond the light cone of the run, the left edge holds the full
@@ -21,6 +21,7 @@ through the left edge.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -82,20 +83,6 @@ class GridSpec:
     max_steps: int
     t_half: float  # pulse support: |alpha_in(t)| < TAIL_CUT * peak beyond +-t_half
 
-    def __post_init__(self):
-        if self.n_med < 50:
-            raise InvalidParameterError(f"medium needs >= 50 cells, got {self.n_med}")
-        if self.max_steps < 1:
-            raise InvalidParameterError("max_steps must be positive")
-        # in float arithmetic: for a very short pulse the exact integer product
-        # is past float range, where a float gives inf and int -> float raises
-        history = 2.0 * self.max_steps * self.n_med * np.dtype(complex).itemsize
-        if history > MAX_HISTORY_BYTES:
-            raise InvalidParameterError(
-                f"grid of {self.n_med} medium cells x {self.max_steps} steps needs about "
-                f"{history / 1e9:.3g} GB of beta history (limit {MAX_HISTORY_BYTES / 1e9:.0f} GB); "
-                "coarsen the grid or use a longer pulse")
-
     @property
     def dt(self):
         return self.dz
@@ -116,26 +103,40 @@ class GridSpec:
 
     @classmethod
     def build(cls, pulse: PulseSpec, medium: MediumProfile, *, cells_per_medium=200):
+        """Grid with at least cells_per_medium cells, and SAMPLES_PER_SIGMA cells
+        per pulse duration, across the medium.
+
+        Refuses a grid whose two beta histories would exceed MAX_HISTORY_BYTES.
+        The sizes are worked out in float first, so that an extreme pulse,
+        medium or cell count gives an inf or NaN size and is refused as over
+        budget, where ceil or int -> float would raise OverflowError.
+        """
         if isinstance(pulse, NarrowBandPulse):
             raise InvalidParameterError("time-domain integration needs a finite-bandwidth pulse")
-        if cells_per_medium < 50:
+        if not cells_per_medium >= 50:
             raise InvalidParameterError(f"medium needs >= 50 cells, got {cells_per_medium}")
-        length = medium.length
-        t_half = float(_support_halfwidth(pulse))
+        t_half = np.float64(_support_halfwidth(pulse))
         sigma = pulse.sigma if isinstance(pulse, GaussianPulse) else t_half / 6.0
-        n_med = max(int(cells_per_medium), int(math.ceil(length * SAMPLES_PER_SIGMA / sigma)))
-        dz = length / n_med
-        m_lead = int(math.ceil(t_half / dz)) + 2  # pulse center to medium entrance
-        m_hold = int(math.ceil(t_half / dz)) + 2  # entrance to left edge
-        t_start = -m_lead * dz
-        z_min = t_start - m_hold * dz
-        t_end_max = t_half + length + SETTLE_TIME
-        max_steps = int(math.ceil((t_end_max - t_start) / dz))
-        # right edge beyond the light cone of the whole run
-        n_right = max_steps + 2
-        n_cells = m_lead + m_hold + n_med + n_right
-        return cls(dz=dz, z_min=z_min, n_cells=n_cells, i_med0=m_lead + m_hold, n_med=n_med,
-                   t_start=t_start, max_steps=max_steps, t_half=t_half)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            length = np.float64(medium.length)
+            cells = np.floor(np.float64(min(cells_per_medium, sys.float_info.max)))
+            n_med = max(cells, np.ceil(length * SAMPLES_PER_SIGMA / sigma))
+            dz = length / n_med
+            # cells from the pulse center to the medium entrance, and as many on to the left edge
+            lead = np.ceil(t_half / dz) + 2.0
+            t_start = -lead * dz
+            max_steps = np.ceil((t_half + length + SETTLE_TIME - t_start) / dz)
+            history = 2.0 * max_steps * n_med * np.dtype(complex).itemsize
+        if not history <= MAX_HISTORY_BYTES:
+            raise InvalidParameterError(
+                f"grid of {n_med:.0f} medium cells x {max_steps:.0f} steps needs about "
+                f"{history / 1e9:.3g} GB of beta history (limit {MAX_HISTORY_BYTES / 1e9:.0f} GB); "
+                "coarsen the grid or use a longer pulse")
+        n_med, lead, max_steps = int(n_med), int(lead), int(max_steps)
+        n_right = max_steps + 2  # right edge beyond the light cone of the whole run
+        return cls(dz=float(dz), z_min=float(t_start - lead * dz), n_cells=2 * lead + n_med + n_right,
+                   i_med0=2 * lead, n_med=n_med, t_start=float(t_start), max_steps=max_steps,
+                   t_half=float(t_half))
 
 
 @dataclass
@@ -360,7 +361,7 @@ def tau_avg_td(forward: FieldHistory):
     return forward.tau_avg
 
 
-def com_delays(forward: FieldHistory, *, include_scattered=True):
+def com_delays(forward: FieldHistory):
     """Center-of-mass delays (transmitted, scattered) relative to free flight."""
     if forward.direction != "forward":
         raise InvalidParameterError("need a forward history")
@@ -376,8 +377,6 @@ def com_delays(forward: FieldHistory, *, include_scattered=True):
         raise NumericError("no transmitted amplitude reached the monitor")
     t_out = float((m * forward.times).sum() / m.sum())
     transmitted = float(t_out - zc[i_mon] - input_com)
-    if not include_scattered:
-        return transmitted, float("nan")
     w2 = np.abs(forward.beta) ** 2
     wsum = float(np.sum(w2))
     if wsum <= 0.0:

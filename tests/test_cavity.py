@@ -48,6 +48,23 @@ class TestNarrowBand:
         nb = NarrowBandPulse(0.0)
         assert cavity.tau_B_direct(CP, nb) < 0.0 < cavity.dwell_avg(CP, nb)
 
+    @given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.floats(-1e3, 1e3))
+    @settings(max_examples=300, deadline=None)
+    def test_spectral_integrands_at_the_carrier_are_the_closed_forms(self, g1, g2, d):
+        """A narrow-band pulse evaluates each finite-bandwidth integrand at its
+        carrier with unit density; that equals, bit for bit, the closed forms."""
+        cp, nb = cavity.CavityParams(g1, g2), NarrowBandPulse(d)
+        den = (g1 + g2) ** 2 + 4.0 * d * d
+        p_ref = ((g2 - g1) ** 2 + 4.0 * d * d) / den
+        assert cavity.scatter_probabilities(cp, nb) == (p_ref, 1.0 - p_ref)
+        assert cavity.dwell_avg(cp, nb) == 4.0 * g1 / den
+        if p_ref <= 0.0:
+            with pytest.raises(InvalidParameterError, match="nothing reflects"):
+                cavity.tau_B_direct(cp, nb)
+        else:
+            num = (g1 - g2 + 2j * d) / ((g1 + g2 + 2j * d) * den)
+            assert cavity.tau_B_direct(cp, nb) == 4.0 * g1 * num.real / p_ref
+
 
 class TestGaussianPulseAverages:
     def test_frozen_reference_values(self):

@@ -269,6 +269,29 @@ kind = timedomain
         assert cli.main(["run", cfg]) == 4
         assert "beta history" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sigma,medium,grid", [
+        ("5e-324", "", ""),
+        ("1.0", "length = 1e-310", ""),
+        ("1.0", "", "[grid]\ncells_per_medium = 1" + "0" * 400),
+    ], ids=["sigma_5e-324", "length_1e-310", "cells_1e400"])
+    def test_grid_past_float_range_exits_4(self, tmp_path, capsys, sigma, medium, grid):
+        # a cell or step count past float range is refused as an over-budget grid
+        cfg = write(tmp_path, f"[pulse]\nkind = gaussian\nsigma = {sigma}\n[medium]\nod0 = 2.0\n{medium}\n"
+                              f"[engine]\nkind = timedomain\n{grid}\n")
+        assert cli.main(["run", cfg]) == 4
+        assert "beta history" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["gaussian", "tabulated"])
+    def test_dense_finite_bandwidth_exits_4(self, tmp_path, capsys, kind):
+        # P_T underflows to 0 over the whole spectrum; refused before the
+        # transmitted rows are divided by it (a RuntimeWarning fails this test)
+        w = np.linspace(-6.0, 6.0, 201)
+        np.savetxt(tmp_path / "spec.txt", np.column_stack([w, np.exp(-(w**2))]))
+        pulse = "sigma = 1.0" if kind == "gaussian" else f"spectrum_file = {tmp_path / 'spec.txt'}"
+        cfg = write(tmp_path, f"[pulse]\nkind = {kind}\n{pulse}\n[medium]\nod0 = 1e6\n")
+        assert cli.main(["run", cfg]) == 4
+        assert "P_T underflows to 0 at od0 = 1e+06" in capsys.readouterr().err
+
     @pytest.mark.parametrize("entry", ["settle_time = 45", "samples_per_sigma = 50"])
     def test_fixed_grid_settings_exit_2(self, tmp_path, capsys, entry):
         # only cells_per_medium of the time-domain grid is settable
@@ -419,6 +442,32 @@ class TestFigureCommand:
         mid = rows[120]  # detuning = 0 row: t_g = -od0 per column
         for col, od0 in zip(mid[1:], cli.FIG3_ODS):
             assert float(col) == pytest.approx(-od0, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["figF1", "figG1"])
+    def test_asymptotic_figure_makes_one_pass_per_row(self, monkeypatch, name):
+        """Outside the od_eff inversion, each row takes one quadrature pass:
+        its delay_report, from which asymptotics reads od_eff."""
+        converge, invert = spectral.converge_trapezoid, spectral.invert_od_eff
+        passes = {"inversion": 0, "other": 0}
+        inverting = []
+
+        def counted_converge(*args, **kwargs):
+            passes["inversion" if inverting else "other"] += 1
+            return converge(*args, **kwargs)
+
+        def counted_invert(*args, **kwargs):
+            inverting.append(True)
+            try:
+                return invert(*args, **kwargs)
+            finally:
+                inverting.pop()
+
+        monkeypatch.setattr(spectral, "converge_trapezoid", counted_converge)
+        monkeypatch.setattr(spectral, "invert_od_eff", counted_invert)
+        _, _, rows = cli.FIGURES[name]()
+        assert len(rows) == 60
+        assert passes["other"] == 60
+        assert passes["inversion"] > 0
 
     def test_validate_underresolved_grid_fails(self, capsys, monkeypatch):
         # a loose stopping rule leaves a doubling change of about 4e-4

@@ -81,7 +81,7 @@ def test_frozen_reference_values(sigma, detuning, od0, expect):
     if "tau_S" in expect:
         assert spectral.tau_S(pulse, medium) == pytest.approx(expect["tau_S"], rel=5e-9)
     if "od_eff" in expect:
-        assert spectral.effective_od(pulse, medium) == pytest.approx(expect["od_eff"], rel=5e-9)
+        assert spectral.delay_report(pulse, medium).od_eff == pytest.approx(expect["od_eff"], rel=5e-9)
 
 
 class TestClosedForms:
@@ -95,12 +95,6 @@ class TestClosedForms:
     def test_wigner_delay_is_twice_lorentzian(self):
         assert spectral.wigner_delay(0.0) == 2.0
         assert spectral.wigner_delay(0.5) == pytest.approx(1.0)
-
-    def test_medium_response_attenuation_and_phase(self):
-        m = make_uniform_medium(4.0)
-        od, phase = spectral.medium_response(m, 0.5, 1.0)
-        assert od == pytest.approx(2.0 / 5.0, rel=1e-12)
-        assert phase == pytest.approx(-1.0 * od, rel=1e-12)
 
     def test_narrowband_tau_t_is_group_delay(self):
         for d, od0 in ((0.0, 1.0), (0.7, 3.0), (-1.4, 12.0)):
@@ -150,15 +144,15 @@ class TestClosedForms:
 
 class TestEffectiveDepth:
     def test_narrowband_effective_depth_closed_form(self):
-        assert spectral.effective_od(NarrowBandPulse(0.0), make_uniform_medium(3.0)) == \
+        assert spectral.delay_report(NarrowBandPulse(0.0), make_uniform_medium(3.0)).od_eff == \
             pytest.approx(3.0, rel=1e-14)
-        got = spectral.effective_od(NarrowBandPulse(1.0), make_uniform_medium(3.0))
+        got = spectral.delay_report(NarrowBandPulse(1.0), make_uniform_medium(3.0)).od_eff
         assert got == pytest.approx(3.0 / 5.0, rel=1e-14)
 
     def test_inversion_round_trip(self):
         p = make_gaussian_pulse(0.5)
         od0 = spectral.invert_od_eff(p, 1.7)
-        assert spectral.effective_od(p, make_uniform_medium(od0)) == pytest.approx(1.7, abs=1e-8)
+        assert spectral.delay_report(p, make_uniform_medium(od0)).od_eff == pytest.approx(1.7, abs=1e-8)
 
     def test_inversion_rejects_negative_target(self):
         with pytest.raises(InvalidParameterError):
@@ -167,7 +161,7 @@ class TestEffectiveDepth:
     def test_effective_depth_never_exceeds_resonant_depth(self):
         for sigma, od0 in ((0.05, 30.0), (1.0, 5.0), (10.0, 1.0)):
             p, m = make_gaussian_pulse(sigma), make_uniform_medium(od0)
-            assert spectral.effective_od(p, m) <= od0 + 1e-12
+            assert spectral.delay_report(p, m).od_eff <= od0 + 1e-12
 
 
 class TestDelayReport:
@@ -239,33 +233,34 @@ class TestAsymptotics:
     def test_transmission_limits_bracket_exact(self):
         p = make_gaussian_pulse(0.05)
         m_lo, m_hi = make_uniform_medium(0.1), make_uniform_medium(1800.0)
-        a_lo = spectral.asymptotics(p, m_lo)
-        exact_lo, _ = spectral.transmission_probability(p, m_lo)
-        assert a_lo.pt_low_od == pytest.approx(exact_lo, rel=1e-3)
-        a_hi = spectral.asymptotics(p, m_hi)
-        exact_hi, _ = spectral.transmission_probability(p, m_hi)
-        assert a_hi.pt_high_od == pytest.approx(exact_hi, rel=5e-3)
+        exact_lo = spectral.delay_report(p, m_lo)
+        a_lo = spectral.asymptotics(p, m_lo, exact_lo.od_eff)
+        assert a_lo.pt_low_od == pytest.approx(exact_lo.P_T, rel=1e-3)
+        exact_hi = spectral.delay_report(p, m_hi)
+        a_hi = spectral.asymptotics(p, m_hi, exact_hi.od_eff)
+        assert a_hi.pt_high_od == pytest.approx(exact_hi.P_T, rel=5e-3)
 
     def test_warns_outside_bandwidth_window(self):
         with pytest.warns(UserWarning):
-            spectral.asymptotics(make_gaussian_pulse(1.0), make_uniform_medium(1.0))
+            p, m = make_gaussian_pulse(1.0), make_uniform_medium(1.0)
+            spectral.asymptotics(p, m, spectral.delay_report(p, m).od_eff)
 
     def test_narrowband_has_no_asymptotics(self):
         with pytest.raises(InvalidParameterError, match="asymptotic forms are derived for Gaussian pulses"):
-            spectral.asymptotics(NarrowBandPulse(0.0), make_uniform_medium(1.0))
+            spectral.asymptotics(NarrowBandPulse(0.0), make_uniform_medium(1.0), 1.0)
 
     def test_dilute_transmitted_form_needs_tiny_bandwidth(self):
         """At sigma = 0.05 the quadratic-depth form misses even its own sign;
         the window check therefore probes it at sigma = 5e-4."""
         p, m = make_gaussian_pulse(0.05), make_uniform_medium(0.1)
-        exact = spectral.tau_T(p, m)
-        approx = spectral.asymptotics(p, m).tau_t_low_od
-        assert exact < 0 < approx  # fractional error above 1, by a wide margin
+        exact = spectral.delay_report(p, m)
+        approx = spectral.asymptotics(p, m, exact.od_eff).tau_t_low_od
+        assert exact.tau_T < 0 < approx  # fractional error above 1, by a wide margin
         p_tiny = make_gaussian_pulse(5e-4)
         m = make_uniform_medium(0.06)
-        exact = spectral.tau_T(p_tiny, m)
-        approx = spectral.asymptotics(p_tiny, m).tau_t_low_od
-        assert approx == pytest.approx(exact, rel=0.1)
+        exact = spectral.delay_report(p_tiny, m)
+        approx = spectral.asymptotics(p_tiny, m, exact.od_eff).tau_t_low_od
+        assert approx == pytest.approx(exact.tau_T, rel=0.1)
 
 
 class TestTabulatedSpectrum:
