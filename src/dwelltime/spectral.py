@@ -67,15 +67,22 @@ def _spectral_window(pulse: PulseSpec):
 
 
 def converge_trapezoid(rows_fn, center, half_width):
-    """Integrate each row of rows_fn(w) on a doubling uniform grid until stable.
+    """Integrate each row of rows_fn(w) over center +- half_width on uniform grids
+    that double until _converge's rule stops them. Returns (values, panel_count)."""
+    def level(n):
+        w, h = _panel_grid(center, half_width, n)
+        return _trapezoid(h, np.atleast_2d(np.asarray(rows_fn(w))))
 
-    Stops when every row changes by less than DEFAULT_TOL * max(|value|, 1)
-    under one doubling. Returns (values, panel_count).
-    """
+    return _converge(level)
+
+
+def _converge(level):
+    """Double n from N_START until no row of level(n), the row integrals on n panels,
+    changes by more than DEFAULT_TOL * max(|value|, 1). Returns (values, n)."""
     prev = None
     n = N_START
     while n <= N_CAP:
-        vals = _trapezoid(rows_fn, center, half_width, n)
+        vals = level(n)
         if prev is not None and np.all(np.abs(vals - prev) <= DEFAULT_TOL * np.maximum(np.abs(vals), 1.0)):
             return vals, n
         prev = vals
@@ -83,15 +90,19 @@ def converge_trapezoid(rows_fn, center, half_width):
     raise NumericError(f"quadrature not converged at {N_CAP} panels (tol={DEFAULT_TOL})")
 
 
-def _trapezoid(rows_fn, center, half_width, n):
-    """Trapezoid sum of each row of rows_fn(w) over n uniform panels."""
+def _panel_grid(center, half_width, n):
+    """The n + 1 uniform nodes over center +- half_width, and their spacing h > 0."""
     w = np.linspace(center - half_width, center + half_width, n + 1)
     h = w[1] - w[0]
     if not h > 0.0:
         raise InvalidParameterError(f"quadrature panels near w = {w[0]:.6g} are finer than "
                                     "float64 resolves there")
-    rows = np.atleast_2d(np.asarray(rows_fn(w)))
-    return h * (rows.sum(axis=1) - 0.5 * (rows[:, 0] + rows[:, -1]))
+    return w, h
+
+
+def _trapezoid(h, rows):
+    """Trapezoid sum along the last axis of samples spaced h apart."""
+    return h * (rows.sum(axis=-1) - 0.5 * (rows[..., 0] + rows[..., -1]))
 
 
 def _core_rows(pulse: PulseSpec, od0):
@@ -206,7 +217,8 @@ def _scattered_delay_point(w, od0):
 
 
 def invert_od_eff(pulse: PulseSpec, od_eff):
-    """Resonant optical depth od0 whose effective depth -ln P_T equals od_eff, by bisection."""
+    """Resonant optical depth od0 with -ln P_T = od_eff, by bisection; every step reuses the
+    quadrature levels built once per inversion. InvalidParameterError if P_T underflows there."""
     target = float(od_eff)
     if target < 0:
         raise InvalidParameterError(f"od_eff must be nonnegative, got {target}")
@@ -215,30 +227,37 @@ def invert_od_eff(pulse: PulseSpec, od_eff):
     if isinstance(pulse, NarrowBandPulse):
         return target / float(lorentzian(pulse.detuning))
     center, half = _spectral_window(pulse)
+    levels = {}  # panel count -> the od0-independent samples: h, density, line, norm
+
+    def level(n, od0):
+        if n not in levels:
+            w, h = _panel_grid(center, half, n)
+            dens = pulse.spectral_density(w)
+            levels[n] = h, dens, lorentzian(w), _trapezoid(h, dens)
+        h, dens, line, norm = levels[n]
+        return np.array([norm, _trapezoid(h, dens * np.exp(-od0 * line))])
 
     def f(od0):
-        # -ln P_T from the two rows it needs, not the full pass of delay_report
-        def rows(w):
-            dens = pulse.spectral_density(w)
-            return np.stack([dens, dens * np.exp(-od0 * lorentzian(w))])
-
-        (norm, pt_raw), _ = converge_trapezoid(rows, center, half)
-        return float(-np.log(pt_raw / norm))
+        # -ln P_T; a P_T below float range lies above every target, as -ln 0 = inf would
+        (norm, pt_raw), _ = _converge(lambda n: level(n, od0))
+        return float(-np.log(pt_raw / norm)) if pt_raw > 0.0 else math.inf
 
     # od_eff <= od0 always, so od0 = target is a valid lower bracket
     lo = target
     hi = max(2.0 * target, 1.0)
-    while f(hi) < target:
+    while (f_hi := f(hi)) < target:
         lo = hi
         hi *= 2.0
         if hi > 1e9:
             raise NumericError(f"no od0 below 1e9 reaches od_eff = {target}")
     while hi - lo > OD_EFF_TOL * max(1.0, hi):
         mid = 0.5 * (lo + hi)
-        if f(mid) < target:
+        if (f_mid := f(mid)) < target:
             lo = mid
         else:
-            hi = mid
+            hi, f_hi = mid, f_mid
+    if f_hi == math.inf:
+        raise InvalidParameterError(f"P_T underflows to 0 before od_eff reaches {target:.6g}")
     return 0.5 * (lo + hi)
 
 

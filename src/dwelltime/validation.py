@@ -369,7 +369,8 @@ def check_grid_convergence():
                 rows = spectral._core_rows(pulse, medium.od0)
                 center, half = spectral._spectral_window(pulse)
                 vals, n = spectral.converge_trapezoid(rows, center, half)
-                fine = spectral._trapezoid(rows, center, half, 2 * n)
+                w, h = spectral._panel_grid(center, half, 2 * n)
+                fine = spectral._trapezoid(h, rows(w))
                 gaps.append((float(np.max(np.abs(fine - vals) / np.abs(fine))), pulse, medium.od0, n))
         return max(gaps, key=lambda gap: gap[0])
 

@@ -388,6 +388,24 @@ spacing = linear
             assert float(r[9]) == pytest.approx(float(r[0]), abs=1e-8)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == OD_EFF_SWEEP_SHA256
 
+    def test_od_eff_sweep_past_float_range_exits_4(self, tmp_path, capsys):
+        # od_eff 700 inverts; at 800 P_T would underflow, refused without a warning
+        cfg = write(tmp_path, BASE + f"""
+[output]
+path = {tmp_path / "sweep.csv"}
+
+[sweep]
+axis = od_eff
+start = 700
+stop = 800
+count = 2
+spacing = linear
+""")
+        assert cli.main(["sweep", cfg]) == 4
+        err = capsys.readouterr().err
+        assert "P_T underflows to 0 before od_eff reaches 800" in err
+        assert "Warning" not in err
+
     def test_od0_axis_over_profile_writes_nothing(self, tmp_path, capsys):
         z = np.linspace(0, 1, 51)
         prof = tmp_path / "prof.txt"
@@ -446,8 +464,9 @@ class TestFigureCommand:
     @pytest.mark.parametrize("name", ["figF1", "figG1"])
     def test_asymptotic_figure_makes_one_pass_per_row(self, monkeypatch, name):
         """Outside the od_eff inversion, each row takes one quadrature pass:
-        its delay_report, from which asymptotics reads od_eff."""
-        converge, invert = spectral.converge_trapezoid, spectral.invert_od_eff
+        its delay_report, from which asymptotics reads od_eff. Every pass, the
+        inversion's bisection steps included, runs the one doubling loop."""
+        converge, invert = spectral._converge, spectral.invert_od_eff
         passes = {"inversion": 0, "other": 0}
         inverting = []
 
@@ -462,7 +481,7 @@ class TestFigureCommand:
             finally:
                 inverting.pop()
 
-        monkeypatch.setattr(spectral, "converge_trapezoid", counted_converge)
+        monkeypatch.setattr(spectral, "_converge", counted_converge)
         monkeypatch.setattr(spectral, "invert_od_eff", counted_invert)
         _, _, rows = cli.FIGURES[name]()
         assert len(rows) == 60

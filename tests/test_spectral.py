@@ -141,6 +141,21 @@ class TestClosedForms:
             numeric = scattered_delay_quadrature(d, od0)
             assert closed == pytest.approx(numeric, rel=1e-7)
 
+# float.hex of invert_od_eff at od_eff = 0.01, 1, 10, off the zero-detuning
+# Gaussians of the figures; the bisection visits the same od0 sequence each run
+INVERSION_HEX = {
+    "chirped_table": ["0x1.f42a2650cccccp-7", "0x1.ae04b9a3c0000p+0", "0x1.bd3a069110000p+5"],
+    "sigma0.1_detuned": ["0x1.6b3c825823d72p-4", "0x1.9ff0d15440000p+5", "0x1.3ed58206f8000p+12"],
+    "sigma3_detuned": ["0x1.c96b6ae1d70a6p-6", "0x1.77a6b4fac0000p+1", "0x1.45c2783a08000p+5"],
+}
+
+
+def inversion_pulse(name):
+    if name == "chirped_table":
+        w = np.linspace(-8.0, 8.0, 8001)
+        return TabulatedSpectrumPulse(w, np.exp(-(w**2)) * np.exp(1j * 0.4 * w**2))
+    return GaussianPulse(0.1 if name == "sigma0.1_detuned" else 3.0, 0.7)
+
 
 class TestEffectiveDepth:
     def test_narrowband_effective_depth_closed_form(self):
@@ -157,6 +172,34 @@ class TestEffectiveDepth:
     def test_inversion_rejects_negative_target(self):
         with pytest.raises(InvalidParameterError):
             spectral.invert_od_eff(make_gaussian_pulse(1.0), -0.1)
+
+    def test_inversion_past_float_range_refuses(self):
+        # the root of -ln P_T = 800 leaves P_T below float64 range
+        with pytest.raises(InvalidParameterError, match="P_T underflows"):
+            spectral.invert_od_eff(GaussianPulse(1.0), 800.0)
+
+    def test_inversion_near_float_range_round_trips(self):
+        p = GaussianPulse(1.0)
+        od0 = spectral.invert_od_eff(p, 700.0)
+        assert spectral.delay_report(p, make_uniform_medium(od0)).od_eff == pytest.approx(700.0, rel=1e-9)
+
+    def test_inversion_samples_density_once_per_level(self):
+        # every bisection step reuses the density of the panel levels it visits
+        calls = []
+
+        class CountedPulse(GaussianPulse):
+            def spectral_density(self, w):
+                calls.append(np.size(w))
+                return super().spectral_density(w)
+
+        spectral.invert_od_eff(CountedPulse(1.0), 5.0)
+        assert 1 <= len(calls) <= 3
+        assert len(set(calls)) == len(calls)
+
+    @pytest.mark.parametrize("name", sorted(INVERSION_HEX))
+    def test_inversion_bits_pinned(self, name):
+        got = [float.hex(spectral.invert_od_eff(inversion_pulse(name), t)) for t in (0.01, 1.0, 10.0)]
+        assert got == INVERSION_HEX[name]
 
     def test_effective_depth_never_exceeds_resonant_depth(self):
         for sigma, od0 in ((0.05, 30.0), (1.0, 5.0), (10.0, 1.0)):
