@@ -5,6 +5,8 @@ role of the excitation. Post-selecting on the photon returning through the input
 mirror gives a back-reflection dwell time tau_B that can be negative while the
 unconditioned dwell time stays positive. Frequencies are offsets from the cavity
 resonance; gamma1 (input) and gamma2 (output) are the mirror intensity decay rates.
+Each average over a pulse spectrum integrates at least 10 (gamma1 + gamma2) to
+either side of the pulse's center, which holds the cavity line.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import NarrowBandPulse, PulseSpec
+from .domain import PulseSpec
 from .errors import InvalidParameterError
-from .spectral import _spectral_window, converge_trapezoid
+from .spectral import _spectral_integrals
 
 
 @dataclass(frozen=True)
@@ -46,26 +48,17 @@ class MirrorParams:
             raise InvalidParameterError("round-trip time must be positive")
 
 
-def _spectral_integrals(params: CavityParams, pulse: PulseSpec, rows):
-    """Integrals of each row of rows(w, dens) over the pulse spectrum, dens its
-    spectral density; a narrow-band pulse gives rows(detuning, 1.0)."""
-    if isinstance(pulse, NarrowBandPulse):
-        return np.stack(rows(pulse.detuning, 1.0))
-    center, half = _spectral_window(pulse)
-    half = max(half, 10.0 * (params.gamma1 + params.gamma2))
-    vals, _ = converge_trapezoid(lambda w: np.stack(rows(w, pulse.spectral_density(w))), center, half)
-    return vals
-
-
 def scatter_probabilities(params: CavityParams, pulse: PulseSpec):
     """(P_ref, P_tr): probabilities of leaving through the input or output mirror."""
     g1, g2 = params.gamma1, params.gamma2
 
     def rows(w, dens):
-        den = (g1 + g2) ** 2 + 4.0 * w * w
-        return dens, dens * ((g2 - g1) ** 2 + 4.0 * w * w) / den
+        with np.errstate(over="ignore", invalid="ignore"):
+            w2 = 4.0 * w * w
+            ref = dens * ((g2 - g1) ** 2 + w2) / ((g1 + g2) ** 2 + w2)
+        return dens, np.where(np.isinf(w2), dens, ref)  # its limit where 4 w^2 overflows
 
-    norm, ref_raw = _spectral_integrals(params, pulse, rows)
+    (norm, ref_raw), _ = _spectral_integrals(pulse, rows, 10.0 * (g1 + g2))
     p_ref = float(ref_raw / norm)
     return p_ref, 1.0 - p_ref
 
@@ -78,9 +71,10 @@ def dwell_avg(params: CavityParams, pulse: PulseSpec):
     g1, g2 = params.gamma1, params.gamma2
 
     def rows(w, dens):
-        return dens, dens * 4.0 * g1 / ((g1 + g2) ** 2 + 4.0 * w * w)
+        with np.errstate(over="ignore"):
+            return dens, dens * 4.0 * g1 / ((g1 + g2) ** 2 + 4.0 * w * w)
 
-    norm, raw = _spectral_integrals(params, pulse, rows)
+    (norm, raw), _ = _spectral_integrals(pulse, rows, 10.0 * (g1 + g2))
     return float(raw / norm)
 
 
@@ -89,11 +83,15 @@ def tau_B_direct(params: CavityParams, pulse: PulseSpec):
     g1, g2 = params.gamma1, params.gamma2
 
     def rows(w, dens):
-        den2 = (g1 + g2) ** 2 + 4.0 * w * w
-        ref2 = ((g2 - g1) ** 2 + 4.0 * w * w) / den2
-        return dens * ref2, dens * (g1 - g2 + 2j * w) / ((g1 + g2 + 2j * w) * den2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w2 = 4.0 * w * w
+            den2 = (g1 + g2) ** 2 + w2
+            ref2 = ((g2 - g1) ** 2 + w2) / den2
+            num = dens * (g1 - g2 + 2j * w) / ((g1 + g2 + 2j * w) * den2)
+        far = np.isinf(w2)  # where 4 w^2 overflows: the limits ref2 -> 1, num -> 0
+        return dens * np.where(far, 1.0, ref2), np.where(far, 0.0, num)
 
-    ref_raw, num_raw = _spectral_integrals(params, pulse, rows)
+    (ref_raw, num_raw), _ = _spectral_integrals(pulse, rows, 10.0 * (g1 + g2))
     if not ref_raw.real > 0.0:
         raise InvalidParameterError("nothing reflects; conditional dwell undefined")
     return float(4.0 * g1 * np.real(num_raw) / ref_raw.real)

@@ -20,12 +20,13 @@ from .domain import (
     MediumProfile,
     NarrowBandPulse,
     PulseSpec,
-    TabulatedSpectrumPulse,
 )
 from .errors import InvalidParameterError, NumericError
 
 DEFAULT_TOL = 1e-9
 OD_EFF_TOL = 1e-10  # relative bracket width at which invert_od_eff stops bisecting
+# above this od_eff, P_T = exp(-od_eff) is subnormal and the inversion loses its accuracy
+OD_EFF_MAX = -math.log(np.finfo(float).tiny)
 N_START = 1024
 N_CAP = 2**20
 
@@ -56,24 +57,32 @@ def wigner_delay(detuning):
 
 
 def _spectral_window(pulse: PulseSpec):
-    """Center and half-width wide enough for both the line and the pulse spectrum."""
+    """Center and half-width wide enough for both the line and the pulse spectrum
+    of a Gaussian or tabulated pulse."""
     if isinstance(pulse, GaussianPulse):
         return pulse.detuning, max(20.0, 8.0 / pulse.sigma)
-    if isinstance(pulse, TabulatedSpectrumPulse):
-        lo, hi = pulse.omegas[0], pulse.omegas[-1]
-        center = 0.5 * (lo + hi)
-        return center, max(20.0, 0.5 * (hi - lo))
-    raise InvalidParameterError("narrow-band pulses have no quadrature window")
+    lo, hi = pulse.omegas[0], pulse.omegas[-1]
+    return 0.5 * (lo + hi), max(20.0, 0.5 * (hi - lo))
 
 
-def converge_trapezoid(rows_fn, center, half_width):
-    """Integrate each row of rows_fn(w) over center +- half_width on uniform grids
-    that double until _converge's rule stops them. Returns (values, panel_count)."""
-    def level(n):
-        w, h = _panel_grid(center, half_width, n)
-        return _trapezoid(h, np.atleast_2d(np.asarray(rows_fn(w))))
+def _spectral_integrals(pulse: PulseSpec, rows, min_half=0.0):
+    """(values, panels): the integral of each row of rows(w, dens) over the pulse
+    spectrum, dens its density at w, on _level's grids until _converge stops them;
+    a narrow-band pulse gives rows(detuning, 1.0) and 0 panels. Every frequency
+    integral of the package is taken here."""
+    if isinstance(pulse, NarrowBandPulse):
+        return _level(pulse, rows, 0), 0
+    return _converge(lambda n: _level(pulse, rows, n, min_half))
 
-    return _converge(level)
+
+def _level(pulse: PulseSpec, rows, n, min_half=0.0):
+    """The row integrals on n uniform panels over the pulse's window, widened to a
+    half-width of at least min_half."""
+    if isinstance(pulse, NarrowBandPulse):
+        return np.asarray(rows(pulse.detuning, 1.0))
+    center, half = _spectral_window(pulse)
+    w, h = _panel_grid(center, max(half, min_half), n)
+    return _trapezoid(h, np.asarray(rows(w, pulse.spectral_density(w))))
 
 
 def _converge(level):
@@ -105,12 +114,11 @@ def _trapezoid(h, rows):
     return h * (rows.sum(axis=-1) - 0.5 * (rows[..., 0] + rows[..., -1]))
 
 
-def _core_rows(pulse: PulseSpec, od0):
-    """The four real rows of a finite-bandwidth pass, as a function of w: the
-    spectral norm, P_T, P_S and the tau_T numerator, each unnormalized."""
+def _core_rows(od0):
+    """The four real rows of a finite-bandwidth pass, as a function of (w, dens):
+    the spectral norm, P_T, P_S and the tau_T numerator, each unnormalized."""
 
-    def rows(w):
-        dens = pulse.spectral_density(w)
+    def rows(w, dens):
         x = od0 * lorentzian(w)
         trans = dens * np.exp(-x)
         return np.stack([dens, trans, dens * -np.expm1(-x), trans * group_delay(w, od0)])
@@ -118,41 +126,49 @@ def _core_rows(pulse: PulseSpec, od0):
     return rows
 
 
-def _core_integrals(pulse: PulseSpec, medium: MediumProfile):
-    """The one pass per case: P_T, P_S, tau_T, tau_S, od_eff and the panel count.
+def _core_pass(pulse: PulseSpec, medium: MediumProfile):
+    """The one pass per case: (its DelayReport, the panel count).
 
-    Narrow band: closed forms at the carrier (panels = 0). Finite bandwidth:
-    the four _core_rows on the grid that converge_trapezoid picks.
+    Narrow band: closed forms at the carrier (0 panels). Finite bandwidth: the
+    four _core_rows, with tau_S from the outcome sum rule and the narrow-band-only
+    delays NaN. The conditional times are NaN at od0 = 0.
     """
     od0 = medium.od0
     if isinstance(pulse, NarrowBandPulse):
-        x = od0 * float(lorentzian(pulse.detuning))
-        pt, ps, n = math.exp(-x), -math.expm1(-x), 0
-        tau_t = group_delay(pulse.detuning, od0)
-        tau_s = _scattered_delay_point(pulse.detuning, od0)
-        od_eff = x
+        od_eff = od0 * float(lorentzian(pulse.detuning))
+        pt, ps, n = math.exp(-od_eff), -math.expm1(-od_eff), 0
+        tau_t = t_g = group_delay(pulse.detuning, od0)
+        tau_s = t_s = float(_scattered_delay_point(pulse.detuning, od0))
+        t_w = wigner_delay(pulse.detuning)
     else:
-        center, half = _spectral_window(pulse)
-        (norm, pt_raw, ps_raw, num), n = converge_trapezoid(_core_rows(pulse, od0), center, half)
+        (norm, pt_raw, ps_raw, num), n = _spectral_integrals(pulse, _core_rows(od0))
         if not pt_raw > 0.0:
             raise InvalidParameterError(f"P_T underflows to 0 at od0 = {od0:.6g}; "
                                         "the transmitted spectrum is below float64 range")
         pt, ps, tau_t = pt_raw / norm, ps_raw / norm, num / pt_raw
         # 0/0 at od0 = 0, where the scattered channel is empty
         tau_s = 1.0 - num / ps_raw if ps_raw > 0.0 else math.nan
+        t_g = t_w = t_s = math.nan
         od_eff = -np.log(pt)
-    return {"pt": float(pt), "ps": float(ps), "tau_t": float(tau_t), "tau_s": float(tau_s),
-            "od_eff": float(od_eff), "panels": n}
+    report = DelayReport(P_T=float(pt), P_S=float(ps), tau_0=float(ps), tau_T=float(tau_t),
+                         tau_S=float(tau_s), t_g=t_g, t_W=t_w, t_S=t_s,
+                         od_eff=float(od_eff), method="analytic")
+    return report, n
 
 
-# transmission_probability, tau_T and tau_S each return fields of delay_report
-# from a pass of their own. Nothing in the package calls them; they are kept
-# because the benchmark in perfbench/ does.
+def delay_report(pulse: PulseSpec, medium: MediumProfile):
+    """Full analytic DelayReport for one case; conditional times are NaN at od0 = 0."""
+    return _core_pass(pulse, medium)[0]
+
+
+# transmission_probability, tau_T and tau_S are views of delay_report. Nothing
+# in the package calls them; they are kept because the benchmark in perfbench/
+# does.
 
 def transmission_probability(pulse: PulseSpec, medium: MediumProfile):
     """(P_T, P_S) of delay_report: probabilities that the photon survives or scatters."""
-    core = _core_integrals(pulse, medium)
-    return core["pt"], core["ps"]
+    report = delay_report(pulse, medium)
+    return report.P_T, report.P_S
 
 
 def tau_T(pulse: PulseSpec, medium: MediumProfile):
@@ -161,7 +177,7 @@ def tau_T(pulse: PulseSpec, medium: MediumProfile):
     Negative values are allowed: the transmitted weak value of the excitation
     integrates the group delay over the surviving spectrum.
     """
-    return _core_integrals(pulse, medium)["tau_t"]
+    return delay_report(pulse, medium).tau_T
 
 
 def tau_S(pulse: PulseSpec, medium: MediumProfile):
@@ -173,7 +189,7 @@ def tau_S(pulse: PulseSpec, medium: MediumProfile):
     """
     if medium.od0 == 0.0:
         raise InvalidParameterError("nothing scatters at od0 = 0")
-    return _core_integrals(pulse, medium)["tau_s"]
+    return delay_report(pulse, medium).tau_S
 
 
 def scattered_delay(pulse: PulseSpec, medium: MediumProfile):
@@ -187,14 +203,12 @@ def scattered_delay(pulse: PulseSpec, medium: MediumProfile):
     od0 = medium.od0
     if isinstance(pulse, NarrowBandPulse):
         return float(_scattered_delay_point(pulse.detuning, od0))
-    center, half = _spectral_window(pulse)
 
-    def rows(w):
-        dens = pulse.spectral_density(w)
+    def rows(w, dens):
         weight = dens * -np.expm1(-od0 * lorentzian(w))
         return np.stack([weight, weight * _scattered_delay_point(w, od0)])
 
-    (den, num), _ = converge_trapezoid(rows, center, half)
+    (den, num), _ = _spectral_integrals(pulse, rows)
     return float(num / den)
 
 
@@ -218,10 +232,11 @@ def _scattered_delay_point(w, od0):
 
 def invert_od_eff(pulse: PulseSpec, od_eff):
     """Resonant optical depth od0 with -ln P_T = od_eff, by bisection; every step reuses the
-    quadrature levels built once per inversion. InvalidParameterError if P_T underflows there."""
+    quadrature levels built once per inversion. InvalidParameterError above OD_EFF_MAX."""
     target = float(od_eff)
-    if target < 0:
-        raise InvalidParameterError(f"od_eff must be nonnegative, got {target}")
+    if not 0.0 <= target <= OD_EFF_MAX:
+        raise InvalidParameterError(f"od_eff must lie in [0, {OD_EFF_MAX:.6g}], past which P_T "
+                                    f"underflows the normal float64 range; got {target:.6g}")
     if target == 0.0:
         return 0.0
     if isinstance(pulse, NarrowBandPulse):
@@ -245,40 +260,18 @@ def invert_od_eff(pulse: PulseSpec, od_eff):
     # od_eff <= od0 always, so od0 = target is a valid lower bracket
     lo = target
     hi = max(2.0 * target, 1.0)
-    while (f_hi := f(hi)) < target:
+    while f(hi) < target:
         lo = hi
         hi *= 2.0
         if hi > 1e9:
             raise NumericError(f"no od0 below 1e9 reaches od_eff = {target}")
     while hi - lo > OD_EFF_TOL * max(1.0, hi):
         mid = 0.5 * (lo + hi)
-        if (f_mid := f(mid)) < target:
+        if f(mid) < target:
             lo = mid
         else:
-            hi, f_hi = mid, f_mid
-    if f_hi == math.inf:
-        raise InvalidParameterError(f"P_T underflows to 0 before od_eff reaches {target:.6g}")
+            hi = mid
     return 0.5 * (lo + hi)
-
-
-def delay_report(pulse: PulseSpec, medium: MediumProfile):
-    """Full analytic DelayReport for one case; conditional times are NaN at od0 = 0."""
-    core = _core_integrals(pulse, medium)
-    t_g = t_W = t_S = math.nan
-    if isinstance(pulse, NarrowBandPulse):
-        t_g, t_W, t_S = core["tau_t"], wigner_delay(pulse.detuning), core["tau_s"]
-    return DelayReport(
-        P_T=core["pt"],
-        P_S=core["ps"],
-        tau_0=core["ps"],
-        tau_T=core["tau_t"],
-        tau_S=core["tau_s"],
-        t_g=t_g,
-        t_W=t_W,
-        t_S=t_S,
-        od_eff=core["od_eff"],
-        method="analytic",
-    )
 
 
 @dataclass(frozen=True)

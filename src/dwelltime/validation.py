@@ -75,24 +75,10 @@ def _romberg(y, z):
     return table[-1]
 
 
-def _z_resolved(pulse, medium, panels):
-    """Shared set-up of the z-resolved integrands.
-
-    Returns the depth samples z, g(z)^2 and od(z) on them, the quadrature
-    frequencies w of the given panel count, and trapezoid weights times the
-    spectral density |amp(w)|^2, so that an integral over w is a product with
-    those weights. A narrow-band pulse has the single frequency of its carrier
-    with unit weight.
-    """
+def _depth_samples(medium):
+    """The Z_POINTS uniform depth samples z, and g(z)^2 and od(z) on them."""
     z = np.linspace(0.0, medium.length, Z_POINTS)
-    od_z = np.array([od_integral(medium, zi) for zi in z])
-    if isinstance(pulse, NarrowBandPulse):
-        return z, medium.g_of(z) ** 2, od_z, np.array([pulse.detuning]), np.ones(1)
-    center, half = spectral._spectral_window(pulse)
-    w = np.linspace(center - half, center + half, panels + 1)
-    weights = np.full(w.size, 2.0 * half / panels)
-    weights[[0, -1]] *= 0.5
-    return z, medium.g_of(z) ** 2, od_z, w, weights * pulse.spectral_density(w)
+    return z, medium.g_of(z) ** 2, np.array([od_integral(medium, zi) for zi in z])
 
 
 def _field_excitation(pulse, medium, panels):
@@ -100,11 +86,15 @@ def _field_excitation(pulse, medium, panels):
     |beta_fwd|^2 = g(z)^2 |amp(w)|^2 exp(-od(z) l(w)) / (w^2 + 1/4).
 
     The propagation phase of the forward field cancels in the modulus, so the
-    integrand is real. Narrow band: the same z-integral at the carrier.
+    integrand is real. Each depth sample is one row of the w integral, taken on
+    the given panel count (at the carrier for a narrow-band pulse).
     """
-    z, g2, od_z, w, dens_dw = _z_resolved(pulse, medium, panels)
-    decay = np.exp(-od_z[:, None] * spectral.lorentzian(w))  # |alpha_fwd|^2 / |amp|^2
-    return float(_romberg(g2 * (decay @ (dens_dw / (w * w + 0.25))), z))
+    z, g2, od_z = _depth_samples(medium)
+
+    def rows(w, dens):  # dens |alpha_fwd|^2 / |amp|^2 / (w^2 + 1/4)
+        return dens * np.exp(-np.multiply.outer(od_z, spectral.lorentzian(w))) / (w * w + 0.25)
+
+    return float(_romberg(g2 * spectral._level(pulse, rows, panels), z))
 
 
 def _field_weak_value(pulse, medium, panels, p_t):
@@ -113,15 +103,21 @@ def _field_weak_value(pulse, medium, panels, p_t):
 
     The backward field is the forward one grown by exp(od(z) l - od0 l) / sqrt(P_T)
     with the adjoint pole, so the phases cancel and the real part of the product
-    carries the pole factor -Re[(i w + 1/2)^-2].
+    carries the pole factor -Re[(i w + 1/2)^-2]. Each depth sample is one row of
+    the w integral on the given panel count, and the final overlap one more.
     """
-    z, g2, od_z, w, dens_dw = _z_resolved(pulse, medium, panels)
-    line = spectral.lorentzian(w)
-    od_line = od_z[:, None] * line
-    # conj(alpha_back) alpha_fwd / |amp|^2: forward decay times backward growth
-    overlap = np.exp(-od_line) * np.exp(od_line - medium.od0 * line) / math.sqrt(p_t)
-    poles = (w * w - 0.25) / (w * w + 0.25) ** 2
-    return float(_romberg(g2 * (overlap @ (dens_dw * poles)), z) / (overlap[-1] @ dens_dw))
+    z, g2, od_z = _depth_samples(medium)
+
+    def rows(w, dens):
+        line = spectral.lorentzian(w)
+        od_line = np.multiply.outer(od_z, line)
+        # conj(alpha_back) alpha_fwd / |amp|^2: forward decay times backward growth
+        overlap = np.exp(-od_line) * np.exp(od_line - medium.od0 * line) / math.sqrt(p_t)
+        poles = (w * w - 0.25) / (w * w + 0.25) ** 2
+        return np.concatenate([overlap * (dens * poles), (overlap[-1] * dens)[None]])
+
+    vals = spectral._level(pulse, rows, panels)
+    return float(_romberg(g2 * vals[:-1], z) / vals[-1])
 
 
 def check_avg_dwell_identity():
@@ -138,8 +134,8 @@ def check_avg_dwell_identity():
     def run():
         worst = 0.0
         for pulse, medium in cases:
-            core = spectral._core_integrals(pulse, medium)
-            worst = max(worst, abs(_field_excitation(pulse, medium, core["panels"]) - core["ps"]))
+            report, panels = spectral._core_pass(pulse, medium)
+            worst = max(worst, abs(_field_excitation(pulse, medium, panels) - report.P_S))
         return worst
 
     worst, dt = _timed(run)
@@ -188,9 +184,9 @@ def check_transmitted_closed_form():
         for _ in range(25):
             pulse = GaussianPulse(float(10.0 ** rng.uniform(-1.5, 1.5)), float(rng.uniform(-2, 2)))
             medium = make_uniform_medium(float(rng.uniform(0.05, 15.0)))
-            core = spectral._core_integrals(pulse, medium)
-            weak = _field_weak_value(pulse, medium, 2 * core["panels"], core["pt"])
-            worst_gap = max(worst_gap, abs(weak - core["tau_t"]))
+            report, panels = spectral._core_pass(pulse, medium)
+            weak = _field_weak_value(pulse, medium, 2 * panels, report.P_T)
+            worst_gap = max(worst_gap, abs(weak - report.tau_T))
         return worst_nb, worst_gap
 
     (worst_nb, worst_gap), dt = _timed(run)
@@ -366,11 +362,9 @@ def check_grid_convergence():
         gaps = []
         for pulse, medium in random_cases():
             if isinstance(pulse, GaussianPulse):
-                rows = spectral._core_rows(pulse, medium.od0)
-                center, half = spectral._spectral_window(pulse)
-                vals, n = spectral.converge_trapezoid(rows, center, half)
-                w, h = spectral._panel_grid(center, half, 2 * n)
-                fine = spectral._trapezoid(h, rows(w))
+                rows = spectral._core_rows(medium.od0)
+                vals, n = spectral._spectral_integrals(pulse, rows)
+                fine = spectral._level(pulse, rows, 2 * n)
                 gaps.append((float(np.max(np.abs(fine - vals) / np.abs(fine))), pulse, medium.od0, n))
         return max(gaps, key=lambda gap: gap[0])
 

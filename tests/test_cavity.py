@@ -4,12 +4,13 @@ Frozen Gaussian values were computed by an independent quadrature script
 before this module was written.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dwelltime import cavity
-from dwelltime.domain import GaussianPulse, NarrowBandPulse
+from dwelltime.domain import GaussianPulse, NarrowBandPulse, TabulatedSpectrumPulse
 from dwelltime.errors import InvalidParameterError
 
 CP = cavity.CavityParams(1.0, 3.0)
@@ -66,6 +67,16 @@ class TestNarrowBand:
             assert cavity.tau_B_direct(cp, nb) == 4.0 * g1 * num.real / p_ref
 
 
+    @pytest.mark.parametrize("detuning", [1e160, -1e160, 1e300])
+    @pytest.mark.parametrize("float_type", [float, np.float64])
+    def test_far_detuned_carrier_takes_the_limits(self, detuning, float_type):
+        # 4 d^2 overflows: everything reflects, with no dwell (a RuntimeWarning fails this)
+        nb = NarrowBandPulse(float_type(detuning))
+        assert cavity.scatter_probabilities(CP, nb) == (1.0, 0.0)
+        assert cavity.dwell_avg(CP, nb) == 0.0
+        assert cavity.tau_B_direct(CP, nb) == 0.0
+
+
 class TestGaussianPulseAverages:
     def test_frozen_reference_values(self):
         pulse = GaussianPulse(1.0, 0.0)
@@ -82,6 +93,37 @@ class TestGaussianPulseAverages:
     def test_probabilities_sum_to_one(self):
         p_ref, p_tr = cavity.scatter_probabilities(CP, GaussianPulse(2.0, 1.0))
         assert p_ref + p_tr == pytest.approx(1.0, abs=1e-12)
+
+
+# float.hex of (P_ref, P_tr), dwell_avg and tau_B_direct (values taken before the
+# cavity passes moved into spectral's one routine); "widened" is a case whose
+# 10 (gamma1 + gamma2) exceeds the pulse's own quadrature window
+CAVITY_HEX = {
+    "gaussian": (["0x1.cb3f17e0b8a7cp-2", "0x1.1a60740fa3ac2p-1"], "0x1.d6a0c16f661efp-2",
+                 "-0x1.52d53acfc1196p-4"),
+    "chirped_table": (["0x1.a2de9c55b62bep-2", "0x1.2e90b1d524ea1p-1"], "0x1.f8467db892dbap-2",
+                      "-0x1.261214a77f75bp-3"),
+    "widened": (["0x1.a3492148ca2d7p-3", "0x1.972db7adcd74ap-1"], "0x1.45be2c8b0ac3bp-3",
+                "-0x1.38e76ade99586p-2"),
+}
+
+
+def pinned_case(name):
+    if name == "widened":
+        return cavity.CavityParams(2.0, 5.0), GaussianPulse(1.0, 0.3)
+    if name == "gaussian":
+        return cavity.CavityParams(0.5, 1.2), GaussianPulse(0.7, 0.4)
+    w = np.linspace(-8.0, 8.0, 1601)
+    return cavity.CavityParams(0.5, 1.2), TabulatedSpectrumPulse(w, np.exp(-(w**2) / 2) * np.exp(1j * 0.4 * w**2))
+
+
+@pytest.mark.parametrize("name", sorted(CAVITY_HEX))
+def test_finite_bandwidth_bits_pinned(name):
+    cp, pulse = pinned_case(name)
+    probabilities, dwell, tau_b = CAVITY_HEX[name]
+    assert [float.hex(p) for p in cavity.scatter_probabilities(cp, pulse)] == probabilities
+    assert float.hex(cavity.dwell_avg(cp, pulse)) == dwell
+    assert float.hex(cavity.tau_B_direct(cp, pulse)) == tau_b
 
 
 class TestMirrorMap:

@@ -89,6 +89,17 @@ gamma = 2.0
         sc = cli.scenario_from_config(cli.load_config(write(tmp_path, text)))
         assert sc.pulse.omegas.size == 801
 
+    def test_tabulated_third_column_is_the_imaginary_part(self, tmp_path):
+        w = np.linspace(-6, 6, 801)
+        re, im = np.exp(-(w**2)), 0.5 * w * np.exp(-(w**2))
+        spec = tmp_path / "spec.csv"
+        np.savetxt(spec, np.column_stack([w, re, im]), delimiter=",")
+        text = f"[pulse]\nkind = tabulated\nspectrum_file = {spec}\n[medium]\nod0 = 1.0\n"
+        amps = cli.scenario_from_config(cli.load_config(write(tmp_path, text))).pulse.amplitudes
+        scale = math.sqrt(np.trapezoid(re**2 + im**2, w))  # normalized to unit frequency integral
+        np.testing.assert_allclose(amps.real * scale, re, rtol=1e-12)
+        np.testing.assert_allclose(amps.imag * scale, im, rtol=1e-12)
+
     def test_medium_profile_file(self, tmp_path):
         z = np.linspace(0, 1, 51)
         prof = tmp_path / "prof.txt"
@@ -389,7 +400,7 @@ spacing = linear
         assert hashlib.sha256(out.read_bytes()).hexdigest() == OD_EFF_SWEEP_SHA256
 
     def test_od_eff_sweep_past_float_range_exits_4(self, tmp_path, capsys):
-        # od_eff 700 inverts; at 800 P_T would underflow, refused without a warning
+        # od_eff 700 inverts; 800 is past the float range of P_T, refused without a warning
         cfg = write(tmp_path, BASE + f"""
 [output]
 path = {tmp_path / "sweep.csv"}
@@ -403,7 +414,7 @@ spacing = linear
 """)
         assert cli.main(["sweep", cfg]) == 4
         err = capsys.readouterr().err
-        assert "P_T underflows to 0 before od_eff reaches 800" in err
+        assert "od_eff must lie in [0, 708.396], past which P_T underflows the normal float64 range; got 800" in err
         assert "Warning" not in err
 
     def test_od0_axis_over_profile_writes_nothing(self, tmp_path, capsys):

@@ -4,7 +4,9 @@ The numbers in FROZEN were produced by standalone high-precision quadrature
 scripts before this module existed and are pinned here verbatim.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,6 +159,49 @@ def inversion_pulse(name):
     return GaussianPulse(0.1 if name == "sigma0.1_detuned" else 3.0, 0.7)
 
 
+# float.hex of every finite delay_report field and of scattered_delay, off the
+# finite-bandwidth pass (values taken before that pass moved into one routine)
+REPORT_FIELDS = ("P_T", "P_S", "tau_0", "tau_T", "tau_S", "od_eff")
+REPORT_HEX = {
+    "chirped_table": (3.0, ["0x1.1dc693491a64bp-2", "0x1.711cb65b72cdcp-1", "0x1.711cb65b72cdcp-1",
+                            "0x1.b5f92acac0b15p-6", "0x1.fab3a42b9fb24p-1", "0x1.46b947387622ap+0"],
+                      "0x1.fab3a42b9fb23p-1"),
+    "sigma100_detuned": (4.0, ["0x1.94a6e5a28b27bp-1", "0x1.ad646975d3611p-3", "0x1.ad646975d3611p-3",
+                               "0x1.a93170e0c08ebp-3", "0x1.bd388cb4588f4p-3", "0x1.e1e39134ab705p-3"],
+                         "0x1.bd388cb4588f1p-3"),
+}
+
+
+def report_pulse(name):
+    if name == "chirped_table":
+        w = np.linspace(-8.0, 8.0, 1601)
+        return TabulatedSpectrumPulse(w, np.exp(-(w**2) / 2) * np.exp(1j * 0.4 * w**2))
+    return GaussianPulse(100.0, 2.0)
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_HEX))
+def test_report_bits_pinned(name):
+    od0, fields, delay = REPORT_HEX[name]
+    pulse, medium = report_pulse(name), make_uniform_medium(od0)
+    report = spectral.delay_report(pulse, medium)
+    assert [float.hex(getattr(report, f)) for f in REPORT_FIELDS] == fields
+    assert float.hex(spectral.scattered_delay(pulse, medium)) == delay
+
+
+def test_only_spectral_touches_the_frequency_grid():
+    """The window, panel grid and trapezoid sum are spectral's own: cavity and
+    validation integrate over frequency only through its one routine."""
+    private = {"_spectral_window", "_panel_grid", "_trapezoid"}
+    src = Path(spectral.__file__).parent
+    for module in ("cavity.py", "validation.py"):
+        tree = ast.parse((src / module).read_text())
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for alias in node.names}
+        assert not names & private, (module, sorted(names & private))
+
+
 class TestEffectiveDepth:
     def test_narrowband_effective_depth_closed_form(self):
         assert spectral.delay_report(NarrowBandPulse(0.0), make_uniform_medium(3.0)).od_eff == \
@@ -178,10 +223,22 @@ class TestEffectiveDepth:
         with pytest.raises(InvalidParameterError, match="P_T underflows"):
             spectral.invert_od_eff(GaussianPulse(1.0), 800.0)
 
+    @pytest.mark.parametrize("target", [709.0, 740.0])
+    def test_inversion_to_subnormal_transmission_refuses(self, target):
+        # P_T = exp(-target) would be subnormal; the inversion lost 3.5e-6 there at 740
+        with pytest.raises(InvalidParameterError, match=r"od_eff must lie in \[0, 708.396\]"):
+            spectral.invert_od_eff(GaussianPulse(1.0), target)
+
     def test_inversion_near_float_range_round_trips(self):
         p = GaussianPulse(1.0)
         od0 = spectral.invert_od_eff(p, 700.0)
         assert spectral.delay_report(p, make_uniform_medium(od0)).od_eff == pytest.approx(700.0, rel=1e-9)
+
+    def test_inversion_at_the_float_range_edge_round_trips(self):
+        # P_T = exp(-708) is still a normal float
+        p = GaussianPulse(1.0)
+        od0 = spectral.invert_od_eff(p, 708.0)
+        assert spectral.delay_report(p, make_uniform_medium(od0)).od_eff == pytest.approx(708.0, rel=1e-9)
 
     def test_inversion_samples_density_once_per_level(self):
         # every bisection step reuses the density of the panel levels it visits
@@ -326,11 +383,11 @@ class TestTabulatedSpectrum:
 
 def test_quadrature_cap_raises():
     # oscillation far below any affordable panel size never stabilizes
-    def rows(w):
+    def rows(w, dens):
         return np.stack([np.cos(1e8 * w).astype(complex)])
 
     with pytest.raises(NumericError):
-        spectral.converge_trapezoid(rows, 0.0, 20.0)
+        spectral._spectral_integrals(make_gaussian_pulse(1.0), rows)
 
 
 # --- property-based invariants --------------------------------------------
