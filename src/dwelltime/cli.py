@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import io
+import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -78,6 +79,8 @@ class SweepSpec:
             raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {self.axis!r}")
         if not self.start < self.stop:
             raise ConfigError(f"sweep range must be ordered, got [{self.start}, {self.stop}]")
+        if not math.isfinite(self.stop - self.start):  # linspace would fill it with NaN
+            raise ConfigError(f"sweep range must have a finite width, got [{self.start}, {self.stop}]")
         if self.count < 2:
             raise ConfigError(f"sweep count must be >= 2, got {self.count}")
         if self.spacing not in ("linear", "log"):

@@ -25,6 +25,10 @@ from .errors import InvalidParameterError, NumericError
 
 DEFAULT_TOL = 1e-9
 OD_EFF_TOL = 1e-10  # relative bracket width at which invert_od_eff stops bisecting
+# relative distance from invert_od_eff's Newton root outside which its bisection replay
+# takes the sign of od0 - root for that of -ln P_T(od0) - od_eff; Newton stops at a step this small
+_REPLAY_GAP = 1e-12
+_NEWTON_STEPS = 30  # Newton passes after which invert_od_eff bisects on -ln P_T alone
 # above this od_eff, P_T = exp(-od_eff) is subnormal and the inversion loses its accuracy
 OD_EFF_MAX = -math.log(np.finfo(float).tiny)
 N_START = 1024
@@ -231,8 +235,15 @@ def _scattered_delay_point(w, od0):
 
 
 def invert_od_eff(pulse: PulseSpec, od_eff):
-    """Resonant optical depth od0 with -ln P_T = od_eff, by bisection; every step reuses the
-    quadrature levels built once per inversion. InvalidParameterError above OD_EFF_MAX."""
+    """Resonant optical depth od0 with -ln P_T = od_eff. InvalidParameterError above
+    OD_EFF_MAX, and where a narrow-band carrier's line leaves od0 without a finite value.
+
+    The result is the bisection's, to the bit. Newton finds the root of the bisection's
+    own objective -ln P_T(od0); the bisection is then replayed against that root, and
+    evaluates the objective only at points within _REPLAY_GAP of it. Where Newton finds
+    no finite root, the bisection runs on the objective alone. Every pass reuses the
+    quadrature levels built once per inversion.
+    """
     target = float(od_eff)
     if not 0.0 <= target <= OD_EFF_MAX:
         raise InvalidParameterError(f"od_eff must lie in [0, {OD_EFF_MAX:.6g}], past which P_T "
@@ -240,9 +251,14 @@ def invert_od_eff(pulse: PulseSpec, od_eff):
     if target == 0.0:
         return 0.0
     if isinstance(pulse, NarrowBandPulse):
-        return target / float(lorentzian(pulse.detuning))
+        line = float(lorentzian(pulse.detuning))
+        if not (line > 0.0 and math.isfinite(target / line)):
+            raise InvalidParameterError(f"no finite od0 reaches od_eff = {target:.6g} at detuning "
+                                        f"{pulse.detuning:.6g}, where the line is {line:.6g}")
+        return target / line
     center, half = _spectral_window(pulse)
     levels = {}  # panel count -> the od0-independent samples: h, density, line, norm
+    trans = {}  # panel count -> the transmitted samples at the latest od0 on that level
 
     def level(n, od0):
         if n not in levels:
@@ -250,24 +266,58 @@ def invert_od_eff(pulse: PulseSpec, od_eff):
             dens = pulse.spectral_density(w)
             levels[n] = h, dens, lorentzian(w), _trapezoid(h, dens)
         h, dens, line, norm = levels[n]
-        return np.array([norm, _trapezoid(h, dens * np.exp(-od0 * line))])
+        trans[n] = dens * np.exp(-od0 * line)
+        return np.array([norm, _trapezoid(h, trans[n])])
 
     def f(od0):
-        # -ln P_T; a P_T below float range lies above every target, as -ln 0 = inf would
-        (norm, pt_raw), _ = _converge(lambda n: level(n, od0))
-        return float(-np.log(pt_raw / norm)) if pt_raw > 0.0 else math.inf
+        # (-ln P_T, the level _converge stopped at); a P_T below float range lies above
+        # every target, as -ln 0 = inf would
+        (norm, pt_raw), n = _converge(lambda n: level(n, od0))
+        return (float(-np.log(pt_raw / norm)) if pt_raw > 0.0 else math.inf), n
+
+    def newton_root():
+        # f is concave and increasing from f(0) = 0, so from od0 = target the iterates
+        # rise to the root without overshooting; NaN where none is found below 1e9
+        od0 = target
+        for _ in range(_NEWTON_STEPS):
+            try:
+                value, n = f(od0)
+            except NumericError:  # the bisection's own points may still converge
+                return math.nan
+            if not math.isfinite(value):
+                return math.nan
+            h, _, line, _ = levels[n]
+            slope = float(_trapezoid(h, trans[n] * line) / _trapezoid(h, trans[n]))
+            if not slope > 0.0:
+                return math.nan
+            step = (target - value) / slope
+            od0 += step
+            if not od0 <= 1e9:
+                return math.nan
+            if abs(step) <= _REPLAY_GAP * od0:
+                return od0
+        return math.nan
+
+    root = newton_root()
+
+    def below(od0):
+        # f(od0) < target, read off the root outside its gap; a NaN root fails the gap
+        # test, so every point is evaluated
+        if abs(od0 - root) > _REPLAY_GAP * root:
+            return od0 < root
+        return f(od0)[0] < target
 
     # od_eff <= od0 always, so od0 = target is a valid lower bracket
     lo = target
     hi = max(2.0 * target, 1.0)
-    while f(hi) < target:
+    while below(hi):
         lo = hi
         hi *= 2.0
         if hi > 1e9:
             raise NumericError(f"no od0 below 1e9 reaches od_eff = {target}")
     while hi - lo > OD_EFF_TOL * max(1.0, hi):
         mid = 0.5 * (lo + hi)
-        if f(mid) < target:
+        if below(mid):
             lo = mid
         else:
             hi = mid

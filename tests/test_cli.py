@@ -127,6 +127,9 @@ class TestSweepSpec:
             cli.SweepSpec("od0", 1.0, 2.0, 1, "linear")
         with pytest.raises(ConfigError):
             cli.SweepSpec("od0", 0.0, 2.0, 5, "log")
+        for start, stop in ((1.0, math.inf), (-math.inf, 1.0), (-1e308, 1e308)):
+            with pytest.raises(ConfigError, match="finite width"):
+                cli.SweepSpec("od_eff", start, stop, 2, "linear")
 
     def test_values_spacing(self):
         lin = cli.SweepSpec("od0", 1.0, 3.0, 3, "linear").values()
@@ -417,6 +420,31 @@ spacing = linear
         assert "od_eff must lie in [0, 708.396], past which P_T underflows the normal float64 range; got 800" in err
         assert "Warning" not in err
 
+    @pytest.mark.parametrize("detuning", ["1e160", "1e300"])
+    def test_od_eff_sweep_off_a_zero_line_exits_4(self, tmp_path, capsys, detuning):
+        # the narrow-band line is 0 there, so no finite od0 reaches any od_eff
+        cfg = write(tmp_path, f"""
+[pulse]
+kind = narrowband
+detuning = {detuning}
+
+[medium]
+od0 = 2.0
+
+[output]
+path = {tmp_path / "sweep.csv"}
+
+[sweep]
+axis = od_eff
+start = 0.5
+stop = 2.0
+count = 2
+""")
+        assert cli.main(["sweep", cfg]) == 4
+        err = capsys.readouterr().err
+        assert f"at detuning {float(detuning):.6g}" in err
+        assert "Traceback" not in err
+
     def test_od0_axis_over_profile_writes_nothing(self, tmp_path, capsys):
         z = np.linspace(0, 1, 51)
         prof = tmp_path / "prof.txt"
@@ -476,7 +504,8 @@ class TestFigureCommand:
     def test_asymptotic_figure_makes_one_pass_per_row(self, monkeypatch, name):
         """Outside the od_eff inversion, each row takes one quadrature pass:
         its delay_report, from which asymptotics reads od_eff. Every pass, the
-        inversion's bisection steps included, runs the one doubling loop."""
+        inversion's Newton steps and replayed evaluations included, runs the one
+        doubling loop; an inversion takes at most 10 of them."""
         converge, invert = spectral._converge, spectral.invert_od_eff
         passes = {"inversion": 0, "other": 0}
         inverting = []
@@ -497,7 +526,7 @@ class TestFigureCommand:
         _, _, rows = cli.FIGURES[name]()
         assert len(rows) == 60
         assert passes["other"] == 60
-        assert passes["inversion"] > 0
+        assert 0 < passes["inversion"] <= 10 * 60
 
     def test_validate_underresolved_grid_fails(self, capsys, monkeypatch):
         # a loose stopping rule leaves a doubling change of about 4e-4
@@ -579,3 +608,36 @@ def test_generated_configs_exit_with_a_code(fuzz_dir, entries):
     cfg = fuzz_dir / "case.ini"
     cfg.write_text(text)
     assert cli.main(["run", str(cfg)]) in (0, 2, 3, 4)
+
+
+SWEEP_BOUNDS = st.floats(1e-3, 20.0) | EXTREME.map(float)
+
+
+@st.composite
+def sweep_configs(draw):
+    """Entries of a sweep config: a fuzz_configs case of a known pulse kind over a
+    uniform medium, and an od_eff axis of 2 or 3 points whose ends are in range or
+    extreme floats. Junk kinds and profile files are left to the run test, so that
+    most cases reach the inversion."""
+    kinds = ("gaussian", "narrowband", "tabulated")
+    entries = draw(fuzz_configs().filter(lambda e: e[("pulse", "kind")] in kinds and ("medium", "od0") in e))
+    start, stop = sorted(draw(st.lists(SWEEP_BOUNDS, min_size=2, max_size=2, unique=True)))
+    sweep = {"axis": "od_eff", "start": repr(start), "stop": repr(stop),
+             "count": draw(st.sampled_from(["2", "3"])), "spacing": draw(st.sampled_from(["linear", "log"]))}
+    return entries | {("sweep", key): value for key, value in sweep.items()}
+
+
+@given(sweep_configs())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_generated_sweep_configs_exit_with_a_code(fuzz_dir, entries):
+    """As test_generated_configs_exit_with_a_code, through `sweep`."""
+    sections = {}
+    for (section, key), value in entries.items():
+        if value is not None:
+            if key in FILE_KEYS:
+                value = os.path.join(fuzz_dir, value)
+            sections.setdefault(section, []).append(f"{key} = {value}")
+    text = "".join(f"[{name}]\n" + "\n".join(lines) + "\n" for name, lines in sections.items())
+    cfg = fuzz_dir / "sweep.ini"
+    cfg.write_text(text)
+    assert cli.main(["sweep", str(cfg)]) in (0, 2, 3, 4)

@@ -6,6 +6,7 @@ scripts before this module existed and are pinned here verbatim.
 
 import ast
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from dwelltime.domain import (
     make_uniform_medium,
     od_integral,
 )
-from dwelltime.errors import InvalidParameterError, NumericError
+from dwelltime.errors import DwellTimeError, InvalidParameterError, NumericError
 
 # (sigma, detuning, od0) -> {P_T, tau_T, tau_S, [od_eff]}; sigma None = narrow-band
 FROZEN = [
@@ -241,7 +242,7 @@ class TestEffectiveDepth:
         assert spectral.delay_report(p, make_uniform_medium(od0)).od_eff == pytest.approx(708.0, rel=1e-9)
 
     def test_inversion_samples_density_once_per_level(self):
-        # every bisection step reuses the density of the panel levels it visits
+        # every pass reuses the density of the panel levels it visits
         calls = []
 
         class CountedPulse(GaussianPulse):
@@ -258,10 +259,91 @@ class TestEffectiveDepth:
         got = [float.hex(spectral.invert_od_eff(inversion_pulse(name), t)) for t in (0.01, 1.0, 10.0)]
         assert got == INVERSION_HEX[name]
 
+    @pytest.mark.parametrize("sigma,target", [(1.0, 5.0), (0.05, 10.0), (0.1, 700.0)])
+    def test_inversion_takes_few_passes(self, monkeypatch, sigma, target):
+        # the bisection alone took 35, 44 and 48 passes here
+        converge, passes = spectral._converge, []
+
+        def counted_converge(level):
+            passes.append(1)
+            return converge(level)
+
+        monkeypatch.setattr(spectral, "_converge", counted_converge)
+        spectral.invert_od_eff(GaussianPulse(sigma), target)
+        assert len(passes) <= 10
+
+    def test_narrowband_inversion_far_off_resonance(self):
+        assert spectral.invert_od_eff(NarrowBandPulse(1e100), 1.0) == 4e200
+
+    @pytest.mark.parametrize("detuning,target", [(1e153, 100.0), (1e160, 1.0), (-1e300, 1.0)])
+    def test_narrowband_inversion_without_finite_od0_refuses(self, detuning, target):
+        # the line is 0 past |detuning| ~ 6.7e153; at 1e153 od0 = target / line overflows
+        with pytest.raises(InvalidParameterError, match=re.escape(f"at detuning {detuning:.6g}")):
+            spectral.invert_od_eff(NarrowBandPulse(detuning), target)
+
     def test_effective_depth_never_exceeds_resonant_depth(self):
         for sigma, od0 in ((0.05, 30.0), (1.0, 5.0), (10.0, 1.0)):
             p, m = make_gaussian_pulse(sigma), make_uniform_medium(od0)
             assert spectral.delay_report(p, m).od_eff <= od0 + 1e-12
+
+
+def _reference_bisection(pulse, od_eff):
+    """invert_od_eff of a finite-bandwidth pulse by plain bisection on -ln P_T: the
+    reference whose bits the Newton-located replay must return."""
+    target = float(od_eff)
+    center, half = spectral._spectral_window(pulse)
+    levels = {}
+
+    def level(n, od0):
+        if n not in levels:
+            w, h = spectral._panel_grid(center, half, n)
+            dens = pulse.spectral_density(w)
+            levels[n] = h, dens, spectral.lorentzian(w), spectral._trapezoid(h, dens)
+        h, dens, line, norm = levels[n]
+        return np.array([norm, spectral._trapezoid(h, dens * np.exp(-od0 * line))])
+
+    def f(od0):
+        (norm, pt_raw), _ = spectral._converge(lambda n: level(n, od0))
+        return float(-np.log(pt_raw / norm)) if pt_raw > 0.0 else math.inf
+
+    lo = target
+    hi = max(2.0 * target, 1.0)
+    while f(hi) < target:
+        lo = hi
+        hi *= 2.0
+        if hi > 1e9:
+            raise NumericError(f"no od0 below 1e9 reaches od_eff = {target}")
+    while hi - lo > spectral.OD_EFF_TOL * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        if f(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _inversion_outcome(invert, pulse, target):
+    try:
+        return float.hex(invert(pulse, target))
+    except DwellTimeError as exc:
+        return type(exc).__name__, str(exc)
+
+
+PARITY_TARGETS = (1e-3, 0.05, 1.0, 10.0, 300.0, 700.0)
+PARITY_PULSES = {f"sigma{s:g}_detuning{d:g}": (lambda s=s, d=d: GaussianPulse(s, d))
+                 for s in (0.02, 0.05, 0.3, 1.0, 3.0, 100.0) for d in (0.0, 0.7, -2.5)}
+PARITY_PULSES["chirped_table"] = lambda: inversion_pulse("chirped_table")
+# P_T of a flat spectrum over +-2e4 saturates: targets 5 and 300 lie above every od0 below 1e9
+PARITY_PULSES["flat_table"] = lambda: TabulatedSpectrumPulse(np.array([-2e4, 2e4]), np.ones(2))
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_PULSES))
+def test_inversion_returns_the_bisection_bits(name):
+    pulse = PARITY_PULSES[name]()
+    targets = (1.0, 5.0, 300.0) if name == "flat_table" else PARITY_TARGETS
+    for target in targets:
+        want = _inversion_outcome(_reference_bisection, pulse, target)
+        assert _inversion_outcome(spectral.invert_od_eff, pulse, target) == want, target
 
 
 class TestDelayReport:
