@@ -153,7 +153,9 @@ def _build_pulse(cp, gamma):
         if data.shape[1] not in (2, 3):
             raise ConfigError(f"spectrum file {path} must have 2 or 3 columns, got {data.shape[1]}")
         amps = data[:, 1] + (1j * data[:, 2] if data.shape[1] == 3 else 0.0)
-        return TabulatedSpectrumPulse(omegas=data[:, 0] / gamma, amplitudes=amps)
+        with np.errstate(over="ignore"):  # TabulatedSpectrumPulse refuses an inf span
+            omegas = data[:, 0] / gamma
+        return TabulatedSpectrumPulse(omegas=omegas, amplitudes=amps)
     raise ConfigError(f"unknown pulse kind {kind!r}")
 
 

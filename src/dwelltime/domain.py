@@ -50,7 +50,8 @@ class GaussianPulse:
 
     def spectral_density(self, w):
         w = np.asarray(w, dtype=float)
-        return math.sqrt(2.0 / math.pi) * self.sigma * np.exp(-2.0 * self.sigma**2 * (w - self.detuning) ** 2)
+        with np.errstate(over="ignore"):  # an exponent past float range is -inf: density 0
+            return math.sqrt(2.0 / math.pi) * self.sigma * np.exp(-2.0 * self.sigma**2 * (w - self.detuning) ** 2)
 
     def spectral_amplitude(self, w):
         # real positive root of the density
@@ -88,11 +89,16 @@ class TabulatedSpectrumPulse:
         a = np.asarray(self.amplitudes, dtype=complex)
         if w.ndim != 1 or w.size < 2 or a.shape != w.shape:
             raise InvalidParameterError("omegas and amplitudes must be matching 1d arrays with >= 2 samples")
+        with np.errstate(over="ignore", invalid="ignore"):
+            span = w[-1] - w[0]
+        if not span < math.inf:  # an inf sample, or a span past float range
+            raise InvalidParameterError(f"omegas must span a finite range, got {w[0]:.6g} to {w[-1]:.6g}")
         if not np.all(np.diff(w) > 0):
             raise InvalidParameterError("omegas must be strictly increasing")
-        norm = np.trapezoid(np.abs(a) ** 2, w)
-        if not norm > 0:
-            raise InvalidParameterError("spectrum has zero norm")
+        with np.errstate(over="ignore"):
+            norm = np.trapezoid(np.abs(a) ** 2, w)
+        if not 0 < norm < math.inf:
+            raise InvalidParameterError(f"spectrum norm {norm} is not positive and finite")
         if self.normalize:
             a = a / math.sqrt(norm)
         elif abs(norm - 1.0) > 1e-8:

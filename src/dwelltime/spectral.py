@@ -20,6 +20,7 @@ from .domain import (
     MediumProfile,
     NarrowBandPulse,
     PulseSpec,
+    SIGMA_MAX,
 )
 from .errors import InvalidParameterError, NumericError
 
@@ -62,9 +63,13 @@ def wigner_delay(detuning):
 
 def _spectral_window(pulse: PulseSpec):
     """Center and half-width wide enough for both the line and the pulse spectrum
-    of a Gaussian or tabulated pulse."""
+    of a Gaussian or tabulated pulse. InvalidParameterError where a Gaussian's squared
+    offsets over the window, which its density takes, pass float range."""
     if isinstance(pulse, GaussianPulse):
-        return pulse.detuning, max(20.0, 8.0 / pulse.sigma)
+        half = max(20.0, 8.0 / pulse.sigma)
+        if not half < SIGMA_MAX:
+            raise InvalidParameterError(f"sigma = {pulse.sigma:.6g} spreads the spectrum past float range")
+        return pulse.detuning, half
     lo, hi = pulse.omegas[0], pulse.omegas[-1]
     return 0.5 * (lo + hi), max(20.0, 0.5 * (hi - lo))
 
@@ -138,6 +143,8 @@ def _core_pass(pulse: PulseSpec, medium: MediumProfile):
     delays NaN. The conditional times are NaN at od0 = 0.
     """
     od0 = medium.od0
+    if not math.isfinite(od0):  # a depth over a subnormal length needs g0^2 past float range
+        raise InvalidParameterError(f"od0 = {od0:.6g} over length {medium.length:.6g} is past float range")
     if isinstance(pulse, NarrowBandPulse):
         od_eff = od0 * float(lorentzian(pulse.detuning))
         pt, ps, n = math.exp(-od_eff), -math.expm1(-od_eff), 0
@@ -240,8 +247,9 @@ def invert_od_eff(pulse: PulseSpec, od_eff):
 
     The result is the bisection's, to the bit. Newton finds the root of the bisection's
     own objective -ln P_T(od0); the bisection is then replayed against that root, and
-    evaluates the objective only at points within _REPLAY_GAP of it. Where Newton finds
-    no finite root, the bisection runs on the objective alone. Every pass reuses the
+    evaluates the objective only at points within _REPLAY_GAP of it. A Newton iterate
+    past 1e9 raises the bisection's NumericError at once; where Newton finds no finite
+    root otherwise, the bisection runs on the objective alone. Every pass reuses the
     quadrature levels built once per inversion.
     """
     target = float(od_eff)
@@ -277,7 +285,8 @@ def invert_od_eff(pulse: PulseSpec, od_eff):
 
     def newton_root():
         # f is concave and increasing from f(0) = 0, so from od0 = target the iterates
-        # rise to the root without overshooting; NaN where none is found below 1e9
+        # rise to the root without overshooting, and one past 1e9 puts the root beyond the
+        # bracket's reach; NaN where Newton finds no root
         od0 = target
         for _ in range(_NEWTON_STEPS):
             try:
@@ -293,7 +302,7 @@ def invert_od_eff(pulse: PulseSpec, od_eff):
             step = (target - value) / slope
             od0 += step
             if not od0 <= 1e9:
-                return math.nan
+                raise NumericError(f"no od0 below 1e9 reaches od_eff = {target}")
             if abs(step) <= _REPLAY_GAP * od0:
                 return od0
         return math.nan

@@ -72,6 +72,17 @@ class TestTabulatedSpectrumPulse:
         with pytest.raises(InvalidParameterError):
             TabulatedSpectrumPulse(np.array([0.0, 1.0]), np.zeros(2))
 
+    @pytest.mark.parametrize("omegas", [[-math.inf, 0.0, math.inf], [0.0, 1.0, math.inf],
+                                        [-1.5e308, 0.0, 1.5e308]], ids=["inf_ends", "inf_end", "span_1e308"])
+    def test_rejects_grid_beyond_float_range(self, omegas):
+        # refused before a span or a sample spacing of inf - inf warns
+        with pytest.raises(InvalidParameterError, match="omegas must span a finite range"):
+            TabulatedSpectrumPulse(np.array(omegas), np.ones(3))
+
+    def test_rejects_norm_beyond_float_range(self):
+        with pytest.raises(InvalidParameterError, match="spectrum norm inf"):
+            TabulatedSpectrumPulse(np.array([0.0, 1.0]), np.full(2, 1e200))
+
     def test_amplitude_vanishes_outside_grid(self):
         w = np.linspace(-1, 1, 101)
         p = TabulatedSpectrumPulse(w, np.ones(101))

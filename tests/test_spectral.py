@@ -259,18 +259,32 @@ class TestEffectiveDepth:
         got = [float.hex(spectral.invert_od_eff(inversion_pulse(name), t)) for t in (0.01, 1.0, 10.0)]
         assert got == INVERSION_HEX[name]
 
-    @pytest.mark.parametrize("sigma,target", [(1.0, 5.0), (0.05, 10.0), (0.1, 700.0)])
-    def test_inversion_takes_few_passes(self, monkeypatch, sigma, target):
-        # the bisection alone took 35, 44 and 48 passes here
-        converge, passes = spectral._converge, []
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """One entry per spectral._converge call (quadrature pass) made in the test."""
+        converge, calls = spectral._converge, []
 
         def counted_converge(level):
-            passes.append(1)
+            calls.append(1)
             return converge(level)
 
         monkeypatch.setattr(spectral, "_converge", counted_converge)
+        return calls
+
+    @pytest.mark.parametrize("sigma,target", [(1.0, 5.0), (0.05, 10.0), (0.1, 700.0)])
+    def test_inversion_takes_few_passes(self, passes, sigma, target):
+        # the bisection alone took 35, 44 and 48 passes here
         spectral.invert_od_eff(GaussianPulse(sigma), target)
         assert len(passes) <= 10
+
+    @pytest.mark.parametrize("target", [5.0, 300.0])
+    def test_unreachable_target_refuses_in_few_passes(self, passes, target):
+        # P_T of a flat spectrum over +-2e4 saturates, and Newton passes 1e9 within 3
+        # passes; a bisection fallback took 30 (5) and 23 (300) passes in all to refuse
+        flat = TabulatedSpectrumPulse(np.array([-2e4, 2e4]), np.ones(2))
+        with pytest.raises(NumericError, match="no od0 below 1e9 reaches"):
+            spectral.invert_od_eff(flat, target)
+        assert len(passes) <= 6
 
     def test_narrowband_inversion_far_off_resonance(self):
         assert spectral.invert_od_eff(NarrowBandPulse(1e100), 1.0) == 4e200
@@ -375,6 +389,17 @@ class TestDelayReport:
     def test_tau_s_raises_without_scattering(self):
         with pytest.raises(InvalidParameterError, match="nothing scatters at od0 = 0"):
             spectral.tau_S(make_gaussian_pulse(1.0), make_uniform_medium(0.0))
+
+    @pytest.mark.parametrize("sigma", [5e-324, 1e-162, 5e-154])
+    def test_spectrum_past_float_range_refuses(self, sigma):
+        # the window's squared offsets overflow (and sigma^2 underflows): 0 * inf warned
+        with pytest.raises(InvalidParameterError, match="spreads the spectrum past float range"):
+            spectral.delay_report(make_gaussian_pulse(sigma), make_uniform_medium(1.0))
+
+    def test_density_of_a_long_pulse_vanishes_off_its_carrier(self):
+        # sigma^2 (w - detuning)^2 overflows to inf, and exp(-inf) = 0 without a warning
+        dens = GaussianPulse(1e153).spectral_density(np.array([-20.0, 0.0, 20.0]))
+        assert dens[0] == dens[2] == 0.0 and dens[1] > 0.0
 
 
 class TestFields:

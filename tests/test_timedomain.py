@@ -6,6 +6,7 @@ overlap), and the center-of-mass delay identities.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,6 +238,66 @@ def test_tabulated_pulse_integrates():
     # the same value as a synthesis over every cell of the grid: the cells outside
     # the pulse's support hold nothing above rounding
     assert fwd.p_t == pytest.approx(0.5379848359026396, rel=1e-12)
+
+
+def _dense_time_amplitude(pulse, t):
+    """The trapezoid sum of a tabulated spectrum over every (t, w) pair: the
+    reference that _time_amplitude's two-table product must match."""
+    t = np.asarray(t, dtype=float)
+    w = pulse.omegas
+    phases = np.exp(1j * np.outer(t, w))
+    return np.trapezoid(phases * pulse.amplitudes[None, :], w, axis=1) / math.sqrt(2.0 * math.pi)
+
+
+def _chirped_table(omegas, sigma=1.0, detuning=0.0, chirp=0.0):
+    amp = GaussianPulse(sigma, detuning).spectral_amplitude(omegas)
+    return TabulatedSpectrumPulse(omegas, amp * np.exp(1j * chirp * (sigma * (omegas - detuning)) ** 2))
+
+
+def _tier1_table():
+    """The 4001-sample table of test_tabulated_pulse_integrates."""
+    return _chirped_table(np.linspace(-9.0, 9.0, 4001))
+
+
+UNEVEN = np.concatenate([-np.geomspace(9.0, 0.01, 300), np.geomspace(0.02, 9.0, 300)])
+
+
+@pytest.mark.parametrize("chirp", [0.0, 0.3])
+@pytest.mark.parametrize("omegas", [np.linspace(-8.8, 9.2, 1000), UNEVEN], ids=["uniform", "geomspace"])
+@pytest.mark.parametrize("n", [1, 2, 3, 97, 513, 1710])
+def test_tabulated_synthesis_matches_the_dense_sum(n, omegas, chirp):
+    pulse = _chirped_table(omegas, detuning=-0.2, chirp=chirp)
+    peak = np.abs(_dense_time_amplitude(pulse, np.linspace(-20.0, 25.0, 181))).max()
+    # ascending as in _support_halfwidth, descending as the cell centres of _initial_field
+    for t in (np.linspace(-20.0, 25.0, n), np.linspace(3.0, -7.5, n)):
+        gap = np.abs(timedomain._time_amplitude(pulse, t) - _dense_time_amplitude(pulse, t))
+        assert gap.max() <= 1e-12 * peak
+
+
+@pytest.mark.parametrize("pulse", [
+    *(_chirped_table(np.linspace(-0.2 - 9.0 / s, -0.2 + 9.0 / s, 1000), s, -0.2, 0.3)
+      for s in (0.8, 1.0, 1.25)),
+    _tier1_table(),
+], ids=["bench_sigma0.8", "bench_sigma1", "bench_sigma1.25", "tier1_4001"])
+def test_tabulated_grid_matches_the_dense_synthesis(monkeypatch, pulse):
+    medium = make_uniform_medium(1.0)
+    grid = timedomain.GridSpec.build(pulse, medium, cells_per_medium=60)
+    monkeypatch.setattr(timedomain, "_time_amplitude", _dense_time_amplitude)
+    ref = timedomain.GridSpec.build(pulse, medium, cells_per_medium=60)
+    assert (grid.t_half, grid.max_steps, grid.n_cells) == (ref.t_half, ref.max_steps, ref.n_cells)
+
+
+def test_tabulated_initial_field_memory():
+    # the dense sum over every (cell, sample) pair peaked at about 438 MB here
+    pulse = _tier1_table()
+    grid = timedomain.GridSpec.build(pulse, make_uniform_medium(1.0), cells_per_medium=60)
+    tracemalloc.start()
+    try:
+        timedomain._initial_field(pulse, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 def test_ramped_medium_numbers_pinned():
