@@ -5,8 +5,8 @@ role of the excitation. Post-selecting on the photon returning through the input
 mirror gives a back-reflection dwell time tau_B that can be negative while the
 unconditioned dwell time stays positive. Frequencies are offsets from the cavity
 resonance; gamma1 (input) and gamma2 (output) are the mirror intensity decay rates.
-Each average over a pulse spectrum integrates at least 10 (gamma1 + gamma2) to
-either side of the pulse's center, which holds the cavity line.
+Each average over a pulse spectrum integrates over the pulse's own window: every
+integrand carries the pulse's density, so the cavity line needs no room of its own.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ def scatter_probabilities(params: CavityParams, pulse: PulseSpec):
             ref = dens * ((g2 - g1) ** 2 + w2) / ((g1 + g2) ** 2 + w2)
         return dens, np.where(np.isinf(w2), dens, ref)  # its limit where 4 w^2 overflows
 
-    (norm, ref_raw), _ = _spectral_integrals(pulse, rows, 10.0 * (g1 + g2))
+    (norm, ref_raw), _ = _spectral_integrals(pulse, rows)
     p_ref = float(ref_raw / norm)
     return p_ref, 1.0 - p_ref
 
@@ -74,7 +74,7 @@ def dwell_avg(params: CavityParams, pulse: PulseSpec):
         with np.errstate(over="ignore"):
             return dens, dens * 4.0 * g1 / ((g1 + g2) ** 2 + 4.0 * w * w)
 
-    (norm, raw), _ = _spectral_integrals(pulse, rows, 10.0 * (g1 + g2))
+    (norm, raw), _ = _spectral_integrals(pulse, rows)
     return float(raw / norm)
 
 
@@ -91,7 +91,7 @@ def tau_B_direct(params: CavityParams, pulse: PulseSpec):
         far = np.isinf(w2)  # where 4 w^2 overflows: the limits ref2 -> 1, num -> 0
         return dens * np.where(far, 1.0, ref2), np.where(far, 0.0, num)
 
-    (ref_raw, num_raw), _ = _spectral_integrals(pulse, rows, 10.0 * (g1 + g2))
+    (ref_raw, num_raw), _ = _spectral_integrals(pulse, rows)
     if not ref_raw.real > 0.0:
         raise InvalidParameterError("nothing reflects; conditional dwell undefined")
     return float(4.0 * g1 * np.real(num_raw) / ref_raw.real)

@@ -132,8 +132,11 @@ def _load_columns(path, what):
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
+    text = text.replace(",", " ")
+    if not any(line.split("#", 1)[0].split() for line in text.splitlines()):
+        raise ConfigError(f"{what} file {path} holds no data")
     try:
-        data = np.loadtxt(io.StringIO(text.replace(",", " ")), ndmin=2)
+        data = np.loadtxt(io.StringIO(text), ndmin=2)
     except ValueError as exc:
         raise ConfigError(f"malformed {what} file {path}: {exc}") from exc
     return data

@@ -61,12 +61,13 @@ def wigner_delay(detuning):
     return 2.0 * float(lorentzian(detuning))
 
 
-def _spectral_window(pulse: PulseSpec):
-    """Center and half-width wide enough for both the line and the pulse spectrum
-    of a Gaussian or tabulated pulse. InvalidParameterError where a Gaussian's squared
-    offsets over the window, which its density takes, pass float range."""
+def _spectral_window(pulse: PulseSpec, od_eff=0.0):
+    """Center and half-width of a Gaussian or tabulated pulse's quadrature window. A
+    Gaussian's, max(8, sqrt((min(od_eff, OD_EFF_MAX) + 40) / 2)) / sigma, leaves out density
+    of mass at most e^-40 P_T for od_eff >= -ln P_T. InvalidParameterError where a Gaussian's
+    squared offsets over the window, which its density takes, pass float range."""
     if isinstance(pulse, GaussianPulse):
-        half = max(20.0, 8.0 / pulse.sigma)
+        half = max(8.0, math.sqrt(0.5 * (min(od_eff, OD_EFF_MAX) + 40.0))) / pulse.sigma
         if not half < SIGMA_MAX:
             raise InvalidParameterError(f"sigma = {pulse.sigma:.6g} spreads the spectrum past float range")
         return pulse.detuning, half
@@ -74,23 +75,23 @@ def _spectral_window(pulse: PulseSpec):
     return 0.5 * (lo + hi), max(20.0, 0.5 * (hi - lo))
 
 
-def _spectral_integrals(pulse: PulseSpec, rows, min_half=0.0):
+def _spectral_integrals(pulse: PulseSpec, rows, od_eff=0.0):
     """(values, panels): the integral of each row of rows(w, dens) over the pulse
     spectrum, dens its density at w, on _level's grids until _converge stops them;
-    a narrow-band pulse gives rows(detuning, 1.0) and 0 panels. Every frequency
-    integral of the package is taken here."""
+    a narrow-band pulse gives rows(detuning, 1.0) and 0 panels; od_eff >= -ln P_T sizes
+    the window. Every frequency integral of the package is taken here."""
     if isinstance(pulse, NarrowBandPulse):
         return _level(pulse, rows, 0), 0
-    return _converge(lambda n: _level(pulse, rows, n, min_half))
+    return _converge(lambda n: _level(pulse, rows, n, od_eff))
 
 
-def _level(pulse: PulseSpec, rows, n, min_half=0.0):
-    """The row integrals on n uniform panels over the pulse's window, widened to a
-    half-width of at least min_half."""
+def _level(pulse: PulseSpec, rows, n, od_eff=0.0):
+    """The row integrals on n uniform panels over the pulse's window for a -ln P_T
+    of at most od_eff."""
     if isinstance(pulse, NarrowBandPulse):
         return np.asarray(rows(pulse.detuning, 1.0))
-    center, half = _spectral_window(pulse)
-    w, h = _panel_grid(center, max(half, min_half), n)
+    center, half = _spectral_window(pulse, od_eff)
+    w, h = _panel_grid(center, half, n)
     return _trapezoid(h, np.asarray(rows(w, pulse.spectral_density(w))))
 
 
@@ -152,7 +153,12 @@ def _core_pass(pulse: PulseSpec, medium: MediumProfile):
         tau_s = t_s = float(_scattered_delay_point(pulse.detuning, od0))
         t_w = wigner_delay(pulse.detuning)
     else:
-        (norm, pt_raw, ps_raw, num), n = _spectral_integrals(pulse, _core_rows(od0))
+        rows = _core_rows(od0)
+        (norm, pt_raw, ps_raw, num), n = _spectral_integrals(pulse, rows)
+        # a dense medium transmits in the far wing: re-run on the window of this -ln P_T
+        bound = -math.log(pt_raw / norm) if pt_raw > 0.0 else OD_EFF_MAX
+        if _spectral_window(pulse, bound) != _spectral_window(pulse):
+            (norm, pt_raw, ps_raw, num), n = _spectral_integrals(pulse, rows, bound)
         if not pt_raw > 0.0:
             raise InvalidParameterError(f"P_T underflows to 0 at od0 = {od0:.6g}; "
                                         "the transmitted spectrum is below float64 range")
@@ -219,7 +225,7 @@ def scattered_delay(pulse: PulseSpec, medium: MediumProfile):
         weight = dens * -np.expm1(-od0 * lorentzian(w))
         return np.stack([weight, weight * _scattered_delay_point(w, od0)])
 
-    (den, num), _ = _spectral_integrals(pulse, rows)
+    (den, num), _ = _spectral_integrals(pulse, rows, od0)
     return float(num / den)
 
 
@@ -264,7 +270,7 @@ def invert_od_eff(pulse: PulseSpec, od_eff):
             raise InvalidParameterError(f"no finite od0 reaches od_eff = {target:.6g} at detuning "
                                         f"{pulse.detuning:.6g}, where the line is {line:.6g}")
         return target / line
-    center, half = _spectral_window(pulse)
+    center, half = _spectral_window(pulse, target)
     levels = {}  # panel count -> the od0-independent samples: h, density, line, norm
     trans = {}  # panel count -> the transmitted samples at the latest od0 on that level
 

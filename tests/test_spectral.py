@@ -5,6 +5,7 @@ scripts before this module existed and are pinned here verbatim.
 """
 
 import ast
+import contextlib
 import math
 import re
 from pathlib import Path
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dwelltime import spectral, validation
+from dwelltime import cavity, spectral, validation
 from dwelltime.domain import (
     GaussianPulse,
     NarrowBandPulse,
@@ -161,14 +162,15 @@ def inversion_pulse(name):
 
 
 # float.hex of every finite delay_report field and of scattered_delay, off the
-# finite-bandwidth pass (values taken before that pass moved into one routine)
+# finite-bandwidth pass (sigma100_detuned's moved by 1 to 8 ulp when the window's
+# 20-linewidth floor went)
 REPORT_FIELDS = ("P_T", "P_S", "tau_0", "tau_T", "tau_S", "od_eff")
 REPORT_HEX = {
     "chirped_table": (3.0, ["0x1.1dc693491a64bp-2", "0x1.711cb65b72cdcp-1", "0x1.711cb65b72cdcp-1",
                             "0x1.b5f92acac0b15p-6", "0x1.fab3a42b9fb24p-1", "0x1.46b947387622ap+0"],
                       "0x1.fab3a42b9fb23p-1"),
-    "sigma100_detuned": (4.0, ["0x1.94a6e5a28b27bp-1", "0x1.ad646975d3611p-3", "0x1.ad646975d3611p-3",
-                               "0x1.a93170e0c08ebp-3", "0x1.bd388cb4588f4p-3", "0x1.e1e39134ab705p-3"],
+    "sigma100_detuned": (4.0, ["0x1.94a6e5a28b27cp-1", "0x1.ad646975d3611p-3", "0x1.ad646975d3611p-3",
+                               "0x1.a93170e0c08ecp-3", "0x1.bd388cb4588ecp-3", "0x1.e1e39134ab700p-3"],
                          "0x1.bd388cb4588f1p-3"),
 }
 
@@ -305,7 +307,7 @@ def _reference_bisection(pulse, od_eff):
     """invert_od_eff of a finite-bandwidth pulse by plain bisection on -ln P_T: the
     reference whose bits the Newton-located replay must return."""
     target = float(od_eff)
-    center, half = spectral._spectral_window(pulse)
+    center, half = spectral._spectral_window(pulse, target)
     levels = {}
 
     def level(n, od0):
@@ -486,6 +488,60 @@ class TestTabulatedSpectrum:
         p_t, p_s = spectral.transmission_probability(tab, m)
         lhs = p_s * spectral.tau_S(tab, m) + p_t * spectral.tau_T(tab, m)
         assert lhs == pytest.approx(spectral.delay_report(tab, m).tau_0, rel=1e-9)
+
+
+def _wide_window_tau_t(pulse, od0):
+    """tau_T of the core rows on a window of 60 / sigma about the carrier."""
+    rows = spectral._core_rows(od0)
+
+    def level(n):
+        w, h = spectral._panel_grid(pulse.detuning, 60.0 / pulse.sigma, n)
+        return spectral._trapezoid(h, rows(w, pulse.spectral_density(w)))
+
+    (_, pt_raw, _, num), _ = spectral._converge(level)
+    return num / pt_raw
+
+
+@pytest.mark.parametrize("target", [300.0, 700.0])
+@pytest.mark.parametrize("sigma", [0.02, 0.05, 0.3])
+def test_dense_transmission_in_the_far_wing(sigma, target):
+    """A dense medium transmits only the pulse's far wing, which a window of 8 / sigma
+    cut off: tau_T read about 173 at od_eff 300 and 569 at 700. It is the group delay
+    od_eff / 2 of the surviving spectrum."""
+    pulse = GaussianPulse(sigma)
+    medium = make_uniform_medium(spectral.invert_od_eff(pulse, target))
+    report = spectral.delay_report(pulse, medium)
+    assert report.od_eff == pytest.approx(target, rel=1e-9)
+    warns = pytest.warns(UserWarning, match="sigma exceeds 0.2") if sigma > 0.2 else contextlib.nullcontext()
+    with warns:
+        high_od = spectral.asymptotics(pulse, medium, report.od_eff).tau_t_high_od
+    assert report.tau_T == pytest.approx(high_od, rel=1e-3)
+    assert report.tau_T == pytest.approx(_wide_window_tau_t(pulse, medium.od0), rel=1e-9)
+
+
+@pytest.fixture
+def panels(monkeypatch):
+    """The panel count of every spectral._converge call made in the test."""
+    converge, counts = spectral._converge, []
+
+    def counted_converge(level):
+        vals, n = converge(level)
+        counts.append(n)
+        return vals, n
+
+    monkeypatch.setattr(spectral, "_converge", counted_converge)
+    return counts
+
+
+@pytest.mark.parametrize("integrate", [
+    lambda: spectral._core_pass(GaussianPulse(100.0, 0.7), make_uniform_medium(15.0)),
+    lambda: cavity.dwell_avg(cavity.CavityParams(5.0, 40.0), GaussianPulse(10.0, 0.3)),
+], ids=["core_pass", "cavity_dwell"])
+def test_short_pulse_window_takes_few_panels(panels, integrate):
+    # windows of 20 linewidths, or 10 (gamma1 + gamma2) for the cavity, took 32768
+    # and 65536 panels; the pulse's own window resolves the same integrands on 2048
+    integrate()
+    assert panels and max(panels) <= 2048
 
 
 def test_quadrature_cap_raises():
