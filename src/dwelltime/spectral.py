@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial, reduce
 
 import numpy as np
 
@@ -34,6 +35,12 @@ _NEWTON_STEPS = 30  # Newton passes after which invert_od_eff bisects on -ln P_T
 OD_EFF_MAX = -math.log(np.finfo(float).tiny)
 N_START = 1024
 N_CAP = 2**20
+# two-point Gauss-Legendre on [-1, 1]: nodes +-_GL_X, each of weight 1
+_GL_X = math.sqrt(1.0 / 3.0)
+# table intervals whose nodes a level samples at once: the temporaries of one block
+# stay near 300 kB however many samples the table has, so a table pass does not
+# grow and hand back the heap on every call
+_GL_BLOCK = 2048
 
 
 def lorentzian(omega):
@@ -61,38 +68,83 @@ def wigner_delay(detuning):
     return 2.0 * float(lorentzian(detuning))
 
 
-def _spectral_window(pulse: PulseSpec, od_eff=0.0):
-    """Center and half-width of a Gaussian or tabulated pulse's quadrature window. A
-    Gaussian's, max(8, sqrt((min(od_eff, OD_EFF_MAX) + 40) / 2)) / sigma, leaves out density
-    of mass at most e^-40 P_T for od_eff >= -ln P_T. InvalidParameterError where a Gaussian's
-    squared offsets over the window, which its density takes, pass float range."""
-    if isinstance(pulse, GaussianPulse):
-        half = max(8.0, math.sqrt(0.5 * (min(od_eff, OD_EFF_MAX) + 40.0))) / pulse.sigma
-        if not half < SIGMA_MAX:
-            raise InvalidParameterError(f"sigma = {pulse.sigma:.6g} spreads the spectrum past float range")
-        return pulse.detuning, half
-    lo, hi = pulse.omegas[0], pulse.omegas[-1]
-    return 0.5 * (lo + hi), max(20.0, 0.5 * (hi - lo))
+def _spectral_window(pulse: GaussianPulse, od_eff=0.0):
+    """Center and half-width of a Gaussian pulse's quadrature window,
+    max(8, sqrt((min(od_eff, OD_EFF_MAX) + 40) / 2)) / sigma, which leaves out density of
+    mass at most e^-40 P_T for od_eff >= -ln P_T. InvalidParameterError where the squared
+    offsets over the window, which the density takes, pass float range."""
+    half = max(8.0, math.sqrt(0.5 * (min(od_eff, OD_EFF_MAX) + 40.0))) / pulse.sigma
+    if not half < SIGMA_MAX:
+        raise InvalidParameterError(f"sigma = {pulse.sigma:.6g} spreads the spectrum past float range")
+    return pulse.detuning, half
 
 
 def _spectral_integrals(pulse: PulseSpec, rows, od_eff=0.0):
     """(values, panels): the integral of each row of rows(w, dens) over the pulse
-    spectrum, dens its density at w, on _level's grids until _converge stops them;
+    spectrum, dens its density at w, on _level's nodes until _converge stops them;
     a narrow-band pulse gives rows(detuning, 1.0) and 0 panels; od_eff >= -ln P_T sizes
-    the window. Every frequency integral of the package is taken here."""
+    a Gaussian's window. Every frequency integral of the package is taken here."""
     if isinstance(pulse, NarrowBandPulse):
         return _level(pulse, rows, 0), 0
     return _converge(lambda n: _level(pulse, rows, n, od_eff))
 
 
 def _level(pulse: PulseSpec, rows, n, od_eff=0.0):
-    """The row integrals on n uniform panels over the pulse's window for a -ln P_T
-    of at most od_eff."""
+    """The row integrals on level n's nodes (_nodes) for a -ln P_T of at most od_eff."""
     if isinstance(pulse, NarrowBandPulse):
         return np.asarray(rows(pulse.detuning, 1.0))
-    center, half = _spectral_window(pulse, od_eff)
-    w, h = _panel_grid(center, half, n)
-    return _trapezoid(h, np.asarray(rows(w, pulse.spectral_density(w))))
+    return _sum_blocks(integrate(np.asarray(rows(w, pulse.spectral_density(w))))
+                       for w, integrate in _nodes(pulse, n, od_eff))
+
+
+def _nodes(pulse: PulseSpec, n, od_eff=0.0):
+    """Level n's blocks (w, integrate): frequency nodes w, and integrate(rows), the rule
+    that sums rows sampled at w along their last axis into the block's integrals. The
+    level's integrals are the blocks' sum (_sum_blocks).
+
+    A Gaussian: one block, the trapezoid on n uniform panels over its window for a
+    -ln P_T of at most od_eff. A table: two-point Gauss-Legendre on each interval
+    between its own samples and the n + 1 uniform points over its span, _GL_BLOCK
+    intervals a block. Its density, |linear interpolant|^2, is quadratic on each such
+    interval and 0 off the span, so only the rows' other factors limit the rule. Its
+    nodes number at most 2 (n + m) for m table intervals; past n = N_CAP / 2 it raises
+    _converge's NumericError.
+    """
+    if isinstance(pulse, GaussianPulse):
+        w, h = _panel_grid(*_spectral_window(pulse, od_eff), n)
+        return [(w, partial(_trapezoid, h))]
+    if 2 * n > N_CAP:
+        raise NumericError(f"quadrature not converged at {N_CAP} panels (tol={DEFAULT_TOL})")
+    omegas = pulse.omegas
+    # their union, as np.union1d takes it; np.unique's first call would import numpy.ma
+    edges = np.sort(np.concatenate([omegas, np.linspace(omegas[0], omegas[-1], n + 1)]))
+    edges = edges[np.concatenate([[True], edges[1:] != edges[:-1]])]
+    return (_gauss_legendre(edges[i:i + _GL_BLOCK + 1]) for i in range(0, edges.size - 1, _GL_BLOCK))
+
+
+def _gauss_legendre(edges):
+    """The block (w, integrate) of two-point Gauss-Legendre on the k intervals between
+    edges: w holds every interval's left node, then every interval's right node."""
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    k = half.size
+    return (np.concatenate([mid - _GL_X * half, mid + _GL_X * half]),
+            lambda rows: ((rows[..., :k] + rows[..., k:]) * half).sum(axis=-1))
+
+
+def _sum_blocks(integrals):
+    """The sum of a level's per-block integrals; a single block's, unchanged."""
+    return reduce(np.add, integrals)
+
+
+def _joined(blocks):
+    """A level's blocks as one (w, integrate), for a caller that keeps every sample of
+    the level; integrate sums each block's slice of the samples by its own rule."""
+    ws, rules = zip(*blocks)
+    if len(rules) == 1:
+        return ws[0], rules[0]
+    cuts = np.cumsum([w.size for w in ws[:-1]])
+    return np.concatenate(ws), lambda rows: _sum_blocks(
+        rule(part) for rule, part in zip(rules, np.split(rows, cuts, axis=-1)))
 
 
 def _converge(level):
@@ -157,7 +209,7 @@ def _core_pass(pulse: PulseSpec, medium: MediumProfile):
         (norm, pt_raw, ps_raw, num), n = _spectral_integrals(pulse, rows)
         # a dense medium transmits in the far wing: re-run on the window of this -ln P_T
         bound = -math.log(pt_raw / norm) if pt_raw > 0.0 else OD_EFF_MAX
-        if _spectral_window(pulse, bound) != _spectral_window(pulse):
+        if isinstance(pulse, GaussianPulse) and _spectral_window(pulse, bound) != _spectral_window(pulse):
             (norm, pt_raw, ps_raw, num), n = _spectral_integrals(pulse, rows, bound)
         if not pt_raw > 0.0:
             raise InvalidParameterError(f"P_T underflows to 0 at od0 = {od0:.6g}; "
@@ -255,8 +307,8 @@ def invert_od_eff(pulse: PulseSpec, od_eff):
     own objective -ln P_T(od0); the bisection is then replayed against that root, and
     evaluates the objective only at points within _REPLAY_GAP of it. A Newton iterate
     past 1e9 raises the bisection's NumericError at once; where Newton finds no finite
-    root otherwise, the bisection runs on the objective alone. Every pass reuses the
-    quadrature levels built once per inversion.
+    root otherwise, the bisection runs on the objective alone. Every pass reuses each
+    level's nodes, rule (_nodes, _joined) and density, built once per inversion.
     """
     target = float(od_eff)
     if not 0.0 <= target <= OD_EFF_MAX:
@@ -270,18 +322,17 @@ def invert_od_eff(pulse: PulseSpec, od_eff):
             raise InvalidParameterError(f"no finite od0 reaches od_eff = {target:.6g} at detuning "
                                         f"{pulse.detuning:.6g}, where the line is {line:.6g}")
         return target / line
-    center, half = _spectral_window(pulse, target)
-    levels = {}  # panel count -> the od0-independent samples: h, density, line, norm
+    levels = {}  # panel count -> the od0-independent parts: rule, density, line, norm
     trans = {}  # panel count -> the transmitted samples at the latest od0 on that level
 
     def level(n, od0):
         if n not in levels:
-            w, h = _panel_grid(center, half, n)
+            w, integrate = _joined(_nodes(pulse, n, target))
             dens = pulse.spectral_density(w)
-            levels[n] = h, dens, lorentzian(w), _trapezoid(h, dens)
-        h, dens, line, norm = levels[n]
+            levels[n] = integrate, dens, lorentzian(w), integrate(dens)
+        integrate, dens, line, norm = levels[n]
         trans[n] = dens * np.exp(-od0 * line)
-        return np.array([norm, _trapezoid(h, trans[n])])
+        return np.array([norm, integrate(trans[n])])
 
     def f(od0):
         # (-ln P_T, the level _converge stopped at); a P_T below float range lies above
@@ -301,8 +352,8 @@ def invert_od_eff(pulse: PulseSpec, od_eff):
                 return math.nan
             if not math.isfinite(value):
                 return math.nan
-            h, _, line, _ = levels[n]
-            slope = float(_trapezoid(h, trans[n] * line) / _trapezoid(h, trans[n]))
+            integrate, _, line, _ = levels[n]
+            slope = float(integrate(trans[n] * line) / integrate(trans[n]))
             if not slope > 0.0:
                 return math.nan
             step = (target - value) / slope

@@ -1,0 +1,31 @@
+"""Fixtures shared by the spectral and cavity tests."""
+
+import contextlib
+
+import numpy as np
+import pytest
+
+from dwelltime import spectral
+
+
+@pytest.fixture
+def fine_table_rule():
+    """A context manager under which every frequency integral of a tabulated pulse
+    takes 32-point Gauss-Legendre on each interval between the table's
+    samples, in a single level: a reference rule far finer than the package's own,
+    for tables whose sample spacing is small next to the line width."""
+    x, wts = np.polynomial.legendre.leggauss(32)
+
+    def nodes(pulse, n, od_eff=0.0):
+        a, b = pulse.omegas[:-1, None], pulse.omegas[1:, None]
+        weights = (0.5 * (b - a) * wts).ravel()
+        return [((0.5 * (a + b) + 0.5 * (b - a) * x).ravel(), lambda rows: (rows * weights).sum(axis=-1))]
+
+    @contextlib.contextmanager
+    def rule():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "_nodes", nodes)
+            mp.setattr(spectral, "_converge", lambda level: (level(spectral.N_START), spectral.N_START))
+            yield
+
+    return rule

@@ -37,6 +37,19 @@ def test_spectral_mix_cases_run_and_check(tmp_path):
         assert label is None or wl.known_defect(case, label), (case.id, label)
 
 
+def test_tabulated_case_records_density_spans(tmp_path):
+    # spectral_mix's per-layer density counters read a table's requests for samples
+    # off its counting twin, so each spectral pass of the case must make them
+    wl = WORKLOADS["spectral_mix"](SEED, str(tmp_path))
+    case = next(case for case in wl.blocks[1] if case.kind == "tabulated" and not case.dense)
+    tracer = Tracer()
+    wl.run(case, tracer)
+    names = {s.sid: s.name for s in tracer.spans}
+    dens = [s for s in tracer.spans if s.name == "domain.spectral_density"]
+    assert {names[s.parent] for s in dens} >= {"spectral.delay_report", "spectral.scattered_delay"}
+    assert all(s.n > 0 for s in dens)
+
+
 def test_cli_figures_cases_run_and_check(tmp_path):
     wl = WORKLOADS["cli_figures"](SEED, str(tmp_path))
     first = next(wl.rounds())

@@ -101,8 +101,8 @@ class TestGaussianPulseAverages:
 CAVITY_HEX = {
     "gaussian": (["0x1.cb3f17e0b8a7dp-2", "0x1.1a60740fa3ac2p-1"], "0x1.d6a0c16f661efp-2",
                  "-0x1.52d53acfc1194p-4"),
-    "chirped_table": (["0x1.a2de9c55b62bep-2", "0x1.2e90b1d524ea1p-1"], "0x1.f8467db892dbap-2",
-                      "-0x1.261214a77f75bp-3"),
+    "chirped_table": (["0x1.a2de9c5a31939p-2", "0x1.2e90b1d2e7364p-1"], "0x1.f8467db4d6afcp-2",
+                      "-0x1.2612144b6678ep-3"),
     "widened": (["0x1.a3492148ca2d7p-3", "0x1.972db7adcd74ap-1"], "0x1.45be2c8b0ac3cp-3",
                 "-0x1.38e76ade99586p-2"),
 }
@@ -124,6 +124,17 @@ def test_finite_bandwidth_bits_pinned(name):
     assert [float.hex(p) for p in cavity.scatter_probabilities(cp, pulse)] == probabilities
     assert float.hex(cavity.dwell_avg(cp, pulse)) == dwell
     assert float.hex(cavity.tau_B_direct(cp, pulse)) == tau_b
+
+
+def test_table_pins_against_fine_rule(fine_table_rule):
+    """The chirped table's pins lie within 1e-11 of the fine reference rule; the
+    uniform trapezoid's pins had tau_B 1.9e-8 off."""
+    cp, pulse = pinned_case("chirped_table")
+    probabilities, dwell, tau_b = CAVITY_HEX["chirped_table"]
+    with fine_table_rule():
+        ref = [*cavity.scatter_probabilities(cp, pulse), cavity.dwell_avg(cp, pulse),
+               cavity.tau_B_direct(cp, pulse)]
+    assert [float.fromhex(h) for h in (*probabilities, dwell, tau_b)] == pytest.approx(ref, rel=1e-11)
 
 
 class TestMirrorMap:

@@ -148,7 +148,7 @@ class TestClosedForms:
 # float.hex of invert_od_eff at od_eff = 0.01, 1, 10, off the zero-detuning
 # Gaussians of the figures; the bisection visits the same od0 sequence each run
 INVERSION_HEX = {
-    "chirped_table": ["0x1.f42a2650cccccp-7", "0x1.ae04b9a3c0000p+0", "0x1.bd3a069110000p+5"],
+    "chirped_table": ["0x1.f42a2650cccccp-7", "0x1.ae04b9a8c0000p+0", "0x1.bd3a068e90000p+5"],
     "sigma0.1_detuned": ["0x1.6b3c825823d72p-4", "0x1.9ff0d15440000p+5", "0x1.3ed58206f8000p+12"],
     "sigma3_detuned": ["0x1.c96b6ae1d70a6p-6", "0x1.77a6b4fac0000p+1", "0x1.45c2783a08000p+5"],
 }
@@ -166,9 +166,9 @@ def inversion_pulse(name):
 # 20-linewidth floor went)
 REPORT_FIELDS = ("P_T", "P_S", "tau_0", "tau_T", "tau_S", "od_eff")
 REPORT_HEX = {
-    "chirped_table": (3.0, ["0x1.1dc693491a64bp-2", "0x1.711cb65b72cdcp-1", "0x1.711cb65b72cdcp-1",
-                            "0x1.b5f92acac0b15p-6", "0x1.fab3a42b9fb24p-1", "0x1.46b947387622ap+0"],
-                      "0x1.fab3a42b9fb23p-1"),
+    "chirped_table": (3.0, ["0x1.1dc6934957481p-2", "0x1.711cb65b545c0p-1", "0x1.711cb65b545c0p-1",
+                            "0x1.b5f92ad2c58bap-6", "0x1.fab3a42b854bfp-1", "0x1.46b947383f976p+0"],
+                      "0x1.fab3a42b854bfp-1"),
     "sigma100_detuned": (4.0, ["0x1.94a6e5a28b27cp-1", "0x1.ad646975d3611p-3", "0x1.ad646975d3611p-3",
                                "0x1.a93170e0c08ecp-3", "0x1.bd388cb4588ecp-3", "0x1.e1e39134ab700p-3"],
                          "0x1.bd388cb4588f1p-3"),
@@ -191,10 +191,23 @@ def test_report_bits_pinned(name):
     assert float.hex(spectral.scattered_delay(pulse, medium)) == delay
 
 
+def test_table_report_pin_against_fine_rule(fine_table_rule):
+    """The chirped table's pinned report and scattered delay lie within 1e-11 of the
+    fine reference rule; the uniform trapezoid's pins had tau_T 1.1e-9 off."""
+    od0, fields, delay = REPORT_HEX["chirped_table"]
+    pulse, medium = report_pulse("chirped_table"), make_uniform_medium(od0)
+    with fine_table_rule():
+        ref = spectral.delay_report(pulse, medium)
+        ref_delay = spectral.scattered_delay(pulse, medium)
+    assert [float.fromhex(h) for h in fields] == pytest.approx([getattr(ref, f) for f in REPORT_FIELDS],
+                                                               rel=1e-11)
+    assert float.fromhex(delay) == pytest.approx(ref_delay, rel=1e-11)
+
+
 def test_only_spectral_touches_the_frequency_grid():
-    """The window, panel grid and trapezoid sum are spectral's own: cavity and
+    """The window, nodes, panel grid and trapezoid sum are spectral's own: cavity and
     validation integrate over frequency only through its one routine."""
-    private = {"_spectral_window", "_panel_grid", "_trapezoid"}
+    private = {"_spectral_window", "_panel_grid", "_trapezoid", "_nodes", "_gauss_legendre"}
     src = Path(spectral.__file__).parent
     for module in ("cavity.py", "validation.py"):
         tree = ast.parse((src / module).read_text())
@@ -261,6 +274,16 @@ class TestEffectiveDepth:
         got = [float.hex(spectral.invert_od_eff(inversion_pulse(name), t)) for t in (0.01, 1.0, 10.0)]
         assert got == INVERSION_HEX[name]
 
+    def test_table_inversion_pins_against_fine_rule(self, fine_table_rule):
+        # -ln P_T rises by at most 1 per unit od0, so each pinned od0, the middle of a
+        # bracket of width OD_EFF_TOL * max(1, od0), reaches its target within that width
+        pulse = inversion_pulse("chirped_table")
+        for target, pin in zip((0.01, 1.0, 10.0), INVERSION_HEX["chirped_table"]):
+            od0 = float.fromhex(pin)
+            with fine_table_rule():
+                od_eff = spectral.delay_report(pulse, make_uniform_medium(od0)).od_eff
+            assert abs(od_eff - target) <= spectral.OD_EFF_TOL * max(1.0, od0), target
+
     @pytest.fixture
     def passes(self, monkeypatch):
         """One entry per spectral._converge call (quadrature pass) made in the test."""
@@ -307,16 +330,15 @@ def _reference_bisection(pulse, od_eff):
     """invert_od_eff of a finite-bandwidth pulse by plain bisection on -ln P_T: the
     reference whose bits the Newton-located replay must return."""
     target = float(od_eff)
-    center, half = spectral._spectral_window(pulse, target)
     levels = {}
 
     def level(n, od0):
         if n not in levels:
-            w, h = spectral._panel_grid(center, half, n)
+            w, integrate = spectral._joined(spectral._nodes(pulse, n, target))
             dens = pulse.spectral_density(w)
-            levels[n] = h, dens, spectral.lorentzian(w), spectral._trapezoid(h, dens)
-        h, dens, line, norm = levels[n]
-        return np.array([norm, spectral._trapezoid(h, dens * np.exp(-od0 * line))])
+            levels[n] = integrate, dens, spectral.lorentzian(w), integrate(dens)
+        integrate, dens, line, norm = levels[n]
+        return np.array([norm, integrate(dens * np.exp(-od0 * line))])
 
     def f(od0):
         (norm, pt_raw), _ = spectral._converge(lambda n: level(n, od0))
@@ -519,6 +541,38 @@ def test_dense_transmission_in_the_far_wing(sigma, target):
     assert report.tau_T == pytest.approx(_wide_window_tau_t(pulse, medium.od0), rel=1e-9)
 
 
+def design_table(sigma, detuning, chirp, samples):
+    """A chirped Gaussian spectrum sampled over +-6 / sigma about its carrier, as the
+    benchmark's spectral_mix design builds its tables."""
+    w = np.linspace(detuning - 6.0 / sigma, detuning + 6.0 / sigma, samples)
+    chirp_phase = np.exp(1j * chirp * (sigma * (w - detuning)) ** 2)
+    return TabulatedSpectrumPulse(w, GaussianPulse(sigma, detuning).spectral_amplitude(w) * chirp_phase)
+
+
+def test_table_does_not_stop_short(fine_table_rule):
+    # two trapezoid levels agreed to 1e-9 here while both left P_T 1.1e-6 off
+    pulse, medium = design_table(0.30008, 2.8017, 1.2100, 2041), make_uniform_medium(6.9811)
+    got = spectral.delay_report(pulse, medium).P_T
+    with fine_table_rule():
+        ref = spectral.delay_report(pulse, medium).P_T
+    assert got == pytest.approx(ref, rel=1e-12)
+
+
+def test_table_tau_s_is_the_scattered_delay():
+    # the sum rule's tau_S and the scattered-spectrum average were 6.2e-6 apart on the trapezoid
+    pulse, medium = design_table(1.07468, 2.56233, 1.37635, 1150), make_uniform_medium(4.21756)
+    assert spectral.delay_report(pulse, medium).tau_S == \
+        pytest.approx(spectral.scattered_delay(pulse, medium), rel=1e-9)
+
+
+def corner_table():
+    """The benchmark's narrow, chirped, far-detuned corner of spectral_mix."""
+    return design_table(6.4676, -2.6112, 1.5324, 1331)
+
+
+CORNER_MEDIUM, CORNER_CAVITY = make_uniform_medium(6.3989), cavity.CavityParams(0.4397, 1.4779)
+
+
 @pytest.fixture
 def panels(monkeypatch):
     """The panel count of every spectral._converge call made in the test."""
@@ -536,10 +590,17 @@ def panels(monkeypatch):
 @pytest.mark.parametrize("integrate", [
     lambda: spectral._core_pass(GaussianPulse(100.0, 0.7), make_uniform_medium(15.0)),
     lambda: cavity.dwell_avg(cavity.CavityParams(5.0, 40.0), GaussianPulse(10.0, 0.3)),
-], ids=["core_pass", "cavity_dwell"])
+    lambda: spectral.delay_report(corner_table(), CORNER_MEDIUM),
+    lambda: spectral.scattered_delay(corner_table(), CORNER_MEDIUM),
+    lambda: cavity.scatter_probabilities(CORNER_CAVITY, corner_table()),
+    lambda: cavity.dwell_avg(CORNER_CAVITY, corner_table()),
+], ids=["core_pass", "cavity_dwell", "table_report", "table_scattered", "table_cavity_probabilities",
+        "table_cavity_dwell"])
 def test_short_pulse_window_takes_few_panels(panels, integrate):
     # windows of 20 linewidths, or 10 (gamma1 + gamma2) for the cavity, took 32768
-    # and 65536 panels; the pulse's own window resolves the same integrands on 2048
+    # and 65536 panels; the pulse's own window resolves the same integrands on 2048.
+    # The trapezoid over a table's 20-linewidth window ran the corner table to 2**20
+    # panels in all but scattered_delay; its breakpoint rule stops at 2048
     integrate()
     assert panels and max(panels) <= 2048
 
@@ -551,6 +612,13 @@ def test_quadrature_cap_raises():
 
     with pytest.raises(NumericError):
         spectral._spectral_integrals(make_gaussian_pulse(1.0), rows)
+
+
+def test_table_past_the_cap_raises(monkeypatch):
+    # the corner stops at 2048 panels, whose nodes a cap of 2048 does not admit
+    monkeypatch.setattr(spectral, "N_CAP", 2048)
+    with pytest.raises(NumericError, match="quadrature not converged at 2048 panels"):
+        spectral.delay_report(corner_table(), CORNER_MEDIUM)
 
 
 # --- property-based invariants --------------------------------------------
