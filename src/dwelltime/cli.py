@@ -342,12 +342,9 @@ FIG3_ODS = (0.1, 1.0, 3.0, 10.0, 30.0)
 def _fig2_dataset():
     od_grid = np.linspace(0.0, 30.0, 121)
     header = ["od0", "tau_T_narrowband"] + [f"tau_T_sigma_{s:g}" for s in FIG2_SIGMAS]
-    pulses = [GaussianPulse(s, 0.0) for s in FIG2_SIGMAS]
-    rows = []
-    for od0 in od_grid:
-        m = make_uniform_medium(float(od0))
-        rows.append([float(od0), spectral.group_delay(0.0, m.od0)] + [
-            spectral.delay_report(p, m).tau_T for p in pulses])
+    columns = [spectral.group_delay(0.0, od_grid)] + [
+        [r.tau_T for r, _ in spectral._core_pass(GaussianPulse(s, 0.0), od_grid)] for s in FIG2_SIGMAS]
+    rows = [[float(od0), *taus] for od0, *taus in zip(od_grid, *columns)]
     comments = [
         "transmitted dwell time tau_T vs resonant optical depth at zero detuning",
         "tau_T: weak value of the excited-state occupation conditioned on transmission;"
@@ -360,21 +357,17 @@ def _fig2_dataset():
 
 def _fig3_dataset(which):
     d_grid = np.linspace(-3.0, 3.0, 241)
-    media = [make_uniform_medium(od) for od in FIG3_ODS]
-    rows = []
     if which == "a":
         header = ["detuning"] + [f"t_g_od0_{od:g}" for od in FIG3_ODS]
-        for d in d_grid:
-            rows.append([float(d)] + [spectral.group_delay(float(d), m.od0) for m in media])
+        rows = [[float(d), *spectral.group_delay(float(d), np.array(FIG3_ODS))] for d in d_grid]
         comments = [
             "narrow-band group delay t_g vs detuning, one column per resonant depth",
             "t_g = d(phase)/d(omega) of the medium transmission at the pulse detuning",
         ]
     else:
         header = ["detuning"] + [f"tau_S_od0_{od:g}" for od in FIG3_ODS]
-        for d in d_grid:
-            nb = NarrowBandPulse(float(d))
-            rows.append([float(d)] + [spectral.delay_report(nb, m).tau_S for m in media])
+        rows = [[float(d)] + [r.tau_S for r, _ in spectral._core_pass(NarrowBandPulse(float(d)), FIG3_ODS)]
+                for d in d_grid]
         comments = [
             "scattered-post-selected dwell time tau_S vs detuning, narrow-band limit",
             "tau_S = (1 - t_g/(exp(x) - 1))/gamma with x the absorbed depth OD0/(1+4 detuning^2)",
@@ -393,13 +386,9 @@ def _fig4_dataset():
         header += [f"tau_T_sigma_{s:g}", f"tau_S_sigma_{s:g}"]
 
     pulses = [NarrowBandPulse(0.0)] + [GaussianPulse(s, 0.0) for s in sigmas]
-    rows = []
-    for target in od_eff:
-        row = [float(target)]
-        for p in pulses:
-            rep = spectral.delay_report(p, make_uniform_medium(spectral.invert_od_eff(p, float(target))))
-            row += [rep.tau_T, rep.tau_S]
-        rows.append(row)
+    columns = [spectral._core_pass(p, spectral.invert_od_eff(p, od_eff)) for p in pulses]
+    rows = [[float(target)] + [t for r, _ in reports for t in (r.tau_T, r.tau_S)]
+            for target, *reports in zip(od_eff, *columns)]
     comments = [
         "conditional dwell times vs effective optical depth od_eff = -ln P_T, zero detuning",
         "per pulse bandwidth: resonant od0 solved from od_eff by bisection on monotone P_T(od0)",
@@ -415,10 +404,9 @@ def _fig_asym_dataset(which):
     pulse = GaussianPulse(sigma, 0.0)
     od_eff = np.geomspace(0.005, 10.0, 60)
 
+    media = [make_uniform_medium(od0) for od0 in spectral.invert_od_eff(pulse, od_eff)]
     rows = []
-    for target in od_eff:
-        m = make_uniform_medium(spectral.invert_od_eff(pulse, float(target)))
-        rep = spectral.delay_report(pulse, m)
+    for target, m, (rep, _) in zip(od_eff, media, spectral._core_pass(pulse, [m.od0 for m in media])):
         asym = spectral.asymptotics(pulse, m, rep.od_eff)
         if which == "F":
             rows.append([float(target), m.od0, rep.tau_S, asym.tau_s_low_od, asym.tau_s_high_od])

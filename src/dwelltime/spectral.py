@@ -23,7 +23,7 @@ from .domain import (
     PulseSpec,
     SIGMA_MAX,
 )
-from .errors import InvalidParameterError, NumericError
+from .errors import DwellTimeError, InvalidParameterError, NumericError
 
 DEFAULT_TOL = 1e-9
 OD_EFF_TOL = 1e-10  # relative bracket width at which invert_od_eff stops bisecting
@@ -41,6 +41,7 @@ _GL_X = math.sqrt(1.0 / 3.0)
 # stay near 300 kB however many samples the table has, so a table pass does not
 # grow and hand back the heap on every call
 _GL_BLOCK = 2048
+_BLOCK = 2**14  # depths x nodes that a level samples at once: its temporaries stay below 1 MB
 
 
 def lorentzian(omega):
@@ -59,7 +60,7 @@ def group_delay(detuning, od0):
         w2 = 4.0 * w * w
         den = (1.0 + w2) ** 2
         delay = np.asarray(-od0 * (1.0 - w2) / den)
-    delay[np.isinf(den)] = 0.0  # the limit, where the formula gives 0 (x / inf) or NaN (inf / inf)
+    np.copyto(delay, 0.0, where=np.isinf(den))  # the limit, where x / inf gives 0 and inf / inf NaN
     return delay if delay.ndim else float(delay)
 
 
@@ -83,7 +84,7 @@ def _spectral_integrals(pulse: PulseSpec, rows, od_eff=0.0):
     """(values, panels): the integral of each row of rows(w, dens) over the pulse
     spectrum, dens its density at w, on _level's nodes until _converge stops them;
     a narrow-band pulse gives rows(detuning, 1.0) and 0 panels; od_eff >= -ln P_T sizes
-    a Gaussian's window. Every frequency integral of the package is taken here."""
+    a Gaussian's window. Every frequency integral of the package is taken on these levels."""
     if isinstance(pulse, NarrowBandPulse):
         return _level(pulse, rows, 0), 0
     return _converge(lambda n: _level(pulse, rows, n, od_eff))
@@ -149,21 +150,47 @@ def _joined(blocks):
 
 def _converge(level):
     """Double n from N_START until no row of level(n), the row integrals on n panels,
-    changes by more than DEFAULT_TOL * max(|value|, 1). Returns (values, n)."""
-    prev = None
-    n = N_START
+    changes by more than DEFAULT_TOL * max(|value|, 1). Returns (values, n). Columns, a
+    trailing axis, stop one by one as one-column calls would (n is then an array), and past
+    N_START level(n, cols) gives only the open columns."""
+    first = level(N_START)
+    prev = first if first.ndim > 1 else first[:, None]
+    values, panels, cols = np.empty_like(prev), np.empty(prev.shape[1], dtype=int), np.arange(prev.shape[1])
+    n = 2 * N_START
     while n <= N_CAP:
-        vals = level(n)
-        if prev is not None and np.all(np.abs(vals - prev) <= DEFAULT_TOL * np.maximum(np.abs(vals), 1.0)):
-            return vals, n
-        prev = vals
+        vals = level(n, cols) if first.ndim > 1 else level(n)[:, None]
+        done = (np.abs(vals - prev) <= DEFAULT_TOL * np.maximum(np.abs(vals), 1.0)).all(axis=0)
+        if done.all():
+            values[:, cols], panels[cols] = vals, n
+            return (values, panels) if first.ndim > 1 else (vals[:, 0], n)
+        values[:, cols[done]], panels[cols[done]] = vals[:, done], n
+        cols, prev = cols[~done], vals[:, ~done]
         n *= 2
     raise NumericError(f"quadrature not converged at {N_CAP} panels (tol={DEFAULT_TOL})")
 
 
+def _chunks(items, nodes):
+    """items in runs of _BLOCK // nodes, or of 1: the depths a level of nodes samples at once."""
+    step = max(1, _BLOCK // nodes)
+    return [items[i:i + step] for i in range(0, len(items), step)]
+
+
+def _by_column(batch, values):
+    """batch(values), one entry per value of the 1-D array values; where that raises,
+    batch of each value in turn, so the error is the first failing value's, as a loop's."""
+    try:
+        return batch(values)
+    except DwellTimeError:
+        if values.size < 2:
+            raise
+    return [out for i in range(values.size) for out in batch(values[i:i + 1])]
+
+
 def _panel_grid(center, half_width, n):
-    """The n + 1 uniform nodes over center +- half_width, and their spacing h > 0."""
-    w = np.linspace(center - half_width, center + half_width, n + 1)
+    """The n + 1 uniform nodes over center +- half_width, as np.linspace's, and their spacing h > 0."""
+    lo, hi = center - half_width, center + half_width
+    w = np.arange(n + 1.0) * ((hi - lo) / n) + lo
+    w[-1] = hi
     h = w[1] - w[0]
     if not h > 0.0:
         raise InvalidParameterError(f"quadrature panels near w = {w[0]:.6g} are finer than "
@@ -177,57 +204,74 @@ def _trapezoid(h, rows):
 
 
 def _core_rows(od0):
-    """The four real rows of a finite-bandwidth pass, as a function of (w, dens):
-    the spectral norm, P_T, P_S and the tau_T numerator, each unnormalized."""
+    """The four real rows of a finite-bandwidth pass at depth od0, or at a (k, 1) column of
+    depths, as a function of (w, dens): norm, P_T, P_S and the tau_T numerator, unnormalized."""
 
     def rows(w, dens):
-        x = od0 * lorentzian(w)
-        trans = dens * np.exp(-x)
-        return np.stack([dens, trans, dens * -np.expm1(-x), trans * group_delay(w, od0)])
+        # out first: allocated after group_delay's temporaries, it made the heap shrink and regrow
+        out = np.empty((4, *np.shape(od0)[:-1], *np.shape(w)))
+        delay = group_delay(w, od0)
+        out[0] = dens
+        neg_x = np.negative(np.multiply(od0, lorentzian(w), out=out[2]), out=out[2])
+        trans = np.multiply(np.exp(neg_x, out=out[1]), dens, out=out[1])
+        np.multiply(np.negative(np.expm1(neg_x, out=out[2]), out=out[2]), dens, out=out[2])
+        np.multiply(trans, delay, out=out[3])
+        return out
 
     return rows
 
 
-def _core_pass(pulse: PulseSpec, medium: MediumProfile):
-    """The one pass per case: (its DelayReport, the panel count).
+def _core_pass(pulse: PulseSpec, depths):
+    """The one pass over a depth axis: a (DelayReport, panel count) pair per od0 of the 1-D
+    array depths (a MediumProfile: its od0) as one-depth calls give, or their first error.
 
-    Narrow band: closed forms at the carrier (0 panels). Finite bandwidth: the
-    four _core_rows, with tau_S from the outcome sum rule and the narrow-band-only
-    delays NaN. The conditional times are NaN at od0 = 0.
+    Narrow band: closed forms at the carrier (0 panels). Finite bandwidth: the four
+    _core_rows of all depths in one _converge, with tau_S from the outcome sum rule and
+    the narrow-band-only delays NaN; a depth whose own -ln P_T needs a wider window
+    re-runs on it. The conditional times are NaN at od0 = 0.
     """
-    od0 = medium.od0
-    if not math.isfinite(od0):  # a depth over a subnormal length needs g0^2 past float range
-        raise InvalidParameterError(f"od0 = {od0:.6g} over length {medium.length:.6g} is past float range")
+    depths = np.asarray(getattr(depths, "od0", depths), dtype=float).reshape(-1)
+    return _by_column(partial(_core_block, pulse), depths)
+
+
+def _core_block(pulse: PulseSpec, od0):
     if isinstance(pulse, NarrowBandPulse):
-        od_eff = od0 * float(lorentzian(pulse.detuning))
-        pt, ps, n = math.exp(-od_eff), -math.expm1(-od_eff), 0
-        tau_t = t_g = group_delay(pulse.detuning, od0)
-        tau_s = t_s = float(_scattered_delay_point(pulse.detuning, od0))
-        t_w = wigner_delay(pulse.detuning)
-    else:
-        rows = _core_rows(od0)
-        (norm, pt_raw, ps_raw, num), n = _spectral_integrals(pulse, rows)
+        line, t_w = float(lorentzian(pulse.detuning)), wigner_delay(pulse.detuning)
+        t_g, t_s = group_delay(pulse.detuning, od0), _scattered_delay_point(pulse.detuning, od0)
+        return [(DelayReport(P_T=math.exp(-x), P_S=-math.expm1(-x), tau_0=-math.expm1(-x), tau_T=g, tau_S=s,
+                             t_g=g, t_W=t_w, t_S=s, od_eff=x, method="analytic"), 0)
+                for x, g, s in zip((od0 * line).tolist(), t_g.tolist(), t_s.tolist())]
+
+    def level(depths, od_eff=0.0):  # _converge's level(n, cols): the _core_rows integrals at depths[cols]
+        if depths.size == 1:  # one depth is sampled without the depth axis
+            return partial(_level, pulse, _core_rows(depths[0]), od_eff=od_eff)
+        return lambda n, cols=slice(None): np.concatenate([
+            _level(pulse, _core_rows(d[:, None]), n, od_eff)
+            for d in _chunks(depths[cols], n + 1 if isinstance(pulse, GaussianPulse) else 2 * _GL_BLOCK)], axis=-1)
+
+    vals, n = _converge(level(od0))
+    vals, n = vals.reshape(4, -1), np.full(od0.shape, n)
+    for j, (norm, pt_raw) in enumerate(vals[:2].T.tolist()):
         # a dense medium transmits in the far wing: re-run on the window of this -ln P_T
         bound = -math.log(pt_raw / norm) if pt_raw > 0.0 else OD_EFF_MAX
         if isinstance(pulse, GaussianPulse) and _spectral_window(pulse, bound) != _spectral_window(pulse):
-            (norm, pt_raw, ps_raw, num), n = _spectral_integrals(pulse, rows, bound)
-        if not pt_raw > 0.0:
-            raise InvalidParameterError(f"P_T underflows to 0 at od0 = {od0:.6g}; "
-                                        "the transmitted spectrum is below float64 range")
-        pt, ps, tau_t = pt_raw / norm, ps_raw / norm, num / pt_raw
-        # 0/0 at od0 = 0, where the scattered channel is empty
-        tau_s = 1.0 - num / ps_raw if ps_raw > 0.0 else math.nan
-        t_g = t_w = t_s = math.nan
-        od_eff = -np.log(pt)
-    report = DelayReport(P_T=float(pt), P_S=float(ps), tau_0=float(ps), tau_T=float(tau_t),
-                         tau_S=float(tau_s), t_g=t_g, t_W=t_w, t_S=t_s,
-                         od_eff=float(od_eff), method="analytic")
-    return report, n
+            vals[:, j], n[j] = _converge(level(od0[j:j + 1], bound))
+    if not (vals[1] > 0.0).all():
+        raise InvalidParameterError(f"P_T underflows to 0 at od0 = {od0[~(vals[1] > 0.0)][0]:.6g}; "
+                                    "the transmitted spectrum is below float64 range")
+    od_eff = -np.log(vals[1] / vals[0])
+    # tau_S is 0/0 at od0 = 0, where the scattered channel is empty
+    return [(DelayReport(P_T=pt / norm, P_S=ps / norm, tau_0=ps / norm, tau_T=num / pt,
+                         tau_S=1.0 - num / ps if ps > 0.0 else math.nan, t_g=math.nan, t_W=math.nan,
+                         t_S=math.nan, od_eff=e, method="analytic"), k)
+            for norm, pt, ps, num, e, k in zip(*vals.tolist(), od_eff.tolist(), n.tolist())]
 
 
 def delay_report(pulse: PulseSpec, medium: MediumProfile):
     """Full analytic DelayReport for one case; conditional times are NaN at od0 = 0."""
-    return _core_pass(pulse, medium)[0]
+    if not math.isfinite(od0 := medium.od0):  # a depth over a subnormal length needs g0^2 past float range
+        raise InvalidParameterError(f"od0 = {od0:.6g} over length {medium.length:.6g} is past float range")
+    return _core_pass(pulse, medium)[0][0]
 
 
 # transmission_probability, tau_T and tau_S are views of delay_report. Nothing
@@ -300,93 +344,111 @@ def _scattered_delay_point(w, od0):
 
 
 def invert_od_eff(pulse: PulseSpec, od_eff):
-    """Resonant optical depth od0 with -ln P_T = od_eff. InvalidParameterError above
-    OD_EFF_MAX, and where a narrow-band carrier's line leaves od0 without a finite value.
+    """Resonant optical depth od0 with -ln P_T = od_eff, or for a 1-D array of targets
+    their od0 (or the first failing target's error), as calls per target give them.
+    InvalidParameterError above OD_EFF_MAX, and where a narrow-band carrier's line leaves
+    od0 without a finite value.
 
     The result is the bisection's, to the bit. Newton finds the root of the bisection's
-    own objective -ln P_T(od0); the bisection is then replayed against that root, and
-    evaluates the objective only at points within _REPLAY_GAP of it. A Newton iterate
-    past 1e9 raises the bisection's NumericError at once; where Newton finds no finite
-    root otherwise, the bisection runs on the objective alone. Every pass reuses each
-    level's nodes, rule (_nodes, _joined) and density, built once per inversion.
+    own objective -ln P_T(od0), in lockstep over the targets that share a window; the
+    bisection is then replayed against the roots, and evaluates the objective only for
+    the targets within _REPLAY_GAP of their root. A Newton iterate past 1e9 raises the
+    bisection's NumericError at once; where Newton finds no finite root otherwise, the
+    bisection runs on the objective alone. Every pass reuses each level's nodes, rule
+    (_nodes, _joined) and density, built once per window.
     """
-    target = float(od_eff)
-    if not 0.0 <= target <= OD_EFF_MAX:
+    targets = np.asarray(od_eff, dtype=float)
+    od0 = np.asarray(_by_column(partial(_invert_block, pulse), targets.reshape(-1)), dtype=float)
+    return float(od0[0]) if targets.ndim == 0 else od0
+
+
+def _invert_block(pulse: PulseSpec, targets):
+    bad = ~((0.0 <= targets) & (targets <= OD_EFF_MAX))
+    if bad.any():
         raise InvalidParameterError(f"od_eff must lie in [0, {OD_EFF_MAX:.6g}], past which P_T "
-                                    f"underflows the normal float64 range; got {target:.6g}")
-    if target == 0.0:
-        return 0.0
+                                    f"underflows the normal float64 range; got {targets[bad][0]:.6g}")
+    od0 = np.zeros_like(targets)
     if isinstance(pulse, NarrowBandPulse):
         line = float(lorentzian(pulse.detuning))
-        if not (line > 0.0 and math.isfinite(target / line)):
-            raise InvalidParameterError(f"no finite od0 reaches od_eff = {target:.6g} at detuning "
-                                        f"{pulse.detuning:.6g}, where the line is {line:.6g}")
-        return target / line
-    levels = {}  # panel count -> the od0-independent parts: rule, density, line, norm
-    trans = {}  # panel count -> the transmitted samples at the latest od0 on that level
+        with np.errstate(over="ignore"):
+            od0 = np.where(targets == 0.0, 0.0, targets / line if line > 0.0 else math.inf)
+        if not np.all(np.isfinite(od0)):
+            raise InvalidParameterError(f"no finite od0 reaches od_eff = {targets[~np.isfinite(od0)][0]:.6g} "
+                                        f"at detuning {pulse.detuning:.6g}, where the line is {line:.6g}")
+        return od0
+    windows = {}  # the Gaussian window of each nonzero target -> their indices
+    for i in np.flatnonzero(targets):
+        key = _spectral_window(pulse, targets[i]) if isinstance(pulse, GaussianPulse) else None
+        windows.setdefault(key, []).append(i)
+    for idx in windows.values():
+        od0[idx] = _invert_window(pulse, targets[idx])
+    return od0
 
-    def level(n, od0):
-        if n not in levels:
-            w, integrate = _joined(_nodes(pulse, n, target))
-            dens = pulse.spectral_density(w)
-            levels[n] = integrate, dens, lorentzian(w), integrate(dens)
-        integrate, dens, line, norm = levels[n]
-        trans[n] = dens * np.exp(-od0 * line)
-        return np.array([norm, integrate(trans[n])])
+
+def _invert_window(pulse: PulseSpec, targets):
+    """invert_od_eff of nonzero targets in [0, OD_EFF_MAX] that share a window."""
+    levels = {}  # panel count -> the od0-independent parts: rule, density, line, norm
 
     def f(od0):
-        # (-ln P_T, the level _converge stopped at); a P_T below float range lies above
-        # every target, as -ln 0 = inf would
-        (norm, pt_raw), n = _converge(lambda n: level(n, od0))
-        return (float(-np.log(pt_raw / norm)) if pt_raw > 0.0 else math.inf), n
+        # -ln P_T at each od0 (inf, above every target, for a P_T below float range) and its slope
+        slopes = {}  # panel count -> the integrals of trans and trans * line at each od0
 
-    def newton_root():
-        # f is concave and increasing from f(0) = 0, so from od0 = target the iterates
-        # rise to the root without overshooting, and one past 1e9 puts the root beyond the
-        # bracket's reach; NaN where Newton finds no root
-        od0 = target
-        for _ in range(_NEWTON_STEPS):
-            try:
-                value, n = f(od0)
-            except NumericError:  # the bisection's own points may still converge
-                return math.nan
-            if not math.isfinite(value):
-                return math.nan
-            integrate, _, line, _ = levels[n]
-            slope = float(integrate(trans[n] * line) / integrate(trans[n]))
-            if not slope > 0.0:
-                return math.nan
-            step = (target - value) / slope
-            od0 += step
-            if not od0 <= 1e9:
-                raise NumericError(f"no od0 below 1e9 reaches od_eff = {target}")
-            if abs(step) <= _REPLAY_GAP * od0:
-                return od0
-        return math.nan
+        def level(n, cols=slice(None)):
+            if n not in levels:
+                w, integrate = _joined(_nodes(pulse, n, targets[0]))
+                dens = pulse.spectral_density(w)
+                levels[n] = integrate, dens, lorentzian(w), integrate(dens)
+            integrate, dens, line, norm = levels[n]
+            idx, raw = np.arange(od0.size)[cols], slopes.setdefault(n, np.empty((2, od0.size)))
+            for chunk in _chunks(idx, line.size):
+                trans = dens * np.exp(-od0[chunk, None] * line)
+                raw[:, chunk] = integrate(trans), integrate(trans * line)
+            return np.array([np.full(idx.size, norm), raw[0, idx]])
 
-    root = newton_root()
+        (norm, pt_raw), n = _converge(level)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = np.array([slopes[k][1, i] for i, k in enumerate(n)]) / pt_raw
+            return np.where(pt_raw > 0.0, -np.log(pt_raw / norm), math.inf), slope
 
-    def below(od0):
-        # f(od0) < target, read off the root outside its gap; a NaN root fails the gap
+    # f is concave and increasing from f(0) = 0, so from od0 = target the Newton iterates
+    # rise to the root without overshooting, and one past 1e9 puts the root beyond the
+    # bracket's reach; the root stays NaN where Newton finds none
+    root, od0, live = np.full(targets.size, math.nan), targets.copy(), np.arange(targets.size)
+    for _ in range(_NEWTON_STEPS):
+        try:
+            value, slope = f(od0[live])
+        except NumericError:  # the bisection's own points may still converge
+            break
+        ok = np.isfinite(value) & (slope > 0.0)
+        live, step = live[ok], (targets[live[ok]] - value[ok]) / slope[ok]
+        od0[live] += step
+        if not np.all(od0[live] <= 1e9):
+            raise NumericError(f"no od0 below 1e9 reaches od_eff = {targets[live][~(od0[live] <= 1e9)][0]}")
+        done = np.abs(step) <= _REPLAY_GAP * od0[live]
+        root[live[done]], live = od0[live[done]], live[~done]
+        if not live.size:
+            break
+
+    def below(x, idx):
+        # f(x) < target, read off the root outside its gap; a NaN root fails the gap
         # test, so every point is evaluated
-        if abs(od0 - root) > _REPLAY_GAP * root:
-            return od0 < root
-        return f(od0)[0] < target
+        out = x < root[idx]
+        near = ~(np.abs(x - root[idx]) > _REPLAY_GAP * root[idx])
+        if near.any():
+            out[near] = f(x[near])[0] < targets[idx[near]]
+        return out
 
     # od_eff <= od0 always, so od0 = target is a valid lower bracket
-    lo = target
-    hi = max(2.0 * target, 1.0)
-    while below(hi):
-        lo = hi
-        hi *= 2.0
-        if hi > 1e9:
-            raise NumericError(f"no od0 below 1e9 reaches od_eff = {target}")
-    while hi - lo > OD_EFF_TOL * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if below(mid):
-            lo = mid
-        else:
-            hi = mid
+    lo, hi, idx = targets.copy(), np.maximum(2.0 * targets, 1.0), np.arange(targets.size)
+    while idx.size:
+        idx = idx[below(hi[idx], idx)]
+        lo[idx], hi[idx] = hi[idx], 2.0 * hi[idx]
+        if np.any(hi[idx] > 1e9):
+            raise NumericError(f"no od0 below 1e9 reaches od_eff = {targets[idx][hi[idx] > 1e9][0]}")
+    while (idx := np.flatnonzero(hi - lo > OD_EFF_TOL * np.maximum(1.0, hi))).size:
+        mid = 0.5 * (lo[idx] + hi[idx])
+        lower = below(mid, idx)
+        lo[idx[lower]], hi[idx[~lower]] = mid[lower], mid[~lower]
     return 0.5 * (lo + hi)
 
 

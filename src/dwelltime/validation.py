@@ -134,7 +134,7 @@ def check_avg_dwell_identity():
     def run():
         worst = 0.0
         for pulse, medium in cases:
-            report, panels = spectral._core_pass(pulse, medium)
+            [(report, panels)] = spectral._core_pass(pulse, medium)
             worst = max(worst, abs(_field_excitation(pulse, medium, panels) - report.P_S))
         return worst
 
@@ -184,7 +184,7 @@ def check_transmitted_closed_form():
         for _ in range(25):
             pulse = GaussianPulse(float(10.0 ** rng.uniform(-1.5, 1.5)), float(rng.uniform(-2, 2)))
             medium = make_uniform_medium(float(rng.uniform(0.05, 15.0)))
-            report, panels = spectral._core_pass(pulse, medium)
+            [(report, panels)] = spectral._core_pass(pulse, medium)
             weak = _field_weak_value(pulse, medium, 2 * panels, report.P_T)
             worst_gap = max(worst_gap, abs(weak - report.tau_T))
         return worst_nb, worst_gap
@@ -252,17 +252,10 @@ def check_figure_landmarks():
                 hi = mid
         crossing = spectral.delay_report(p1, make_uniform_medium(0.5 * (lo + hi))).od_eff
 
-        p005 = make_gaussian_pulse(0.05)
-        od_a = spectral.invert_od_eff(p005, 4.9)
-        od_b = spectral.invert_od_eff(p005, 5.1)
-        slope = (spectral.delay_report(p005, make_uniform_medium(od_b)).tau_T
-                 - spectral.delay_report(p005, make_uniform_medium(od_a)).tau_T) / 0.2
-
-        od_grid = np.geomspace(2.0, 640.0, 25)
-        dip = min(spectral.delay_report(p005, make_uniform_medium(float(o))).tau_S for o in od_grid)
-        m8 = make_uniform_medium(spectral.invert_od_eff(p005, 8.0))
-        recovery = spectral.delay_report(p005, m8).tau_S
-        return crossing, slope, dip, recovery
+        p005, targets = make_gaussian_pulse(0.05), np.array([4.9, 5.1, 8.0])
+        (a, _), (b, _), (m8, _) = spectral._core_pass(p005, spectral.invert_od_eff(p005, targets))
+        dip = min(r.tau_S for r, _ in spectral._core_pass(p005, np.geomspace(2.0, 640.0, 25)))
+        return crossing, (b.tau_T - a.tau_T) / 0.2, dip, m8.tau_S
 
     (crossing, slope, dip, recovery), dt = _timed(run)
     ok = (abs(crossing - 2.0) <= 0.3
@@ -284,24 +277,21 @@ def check_asymptotic_windows():
         worst = 0.0
         report = []
         p_tiny = make_gaussian_pulse(5e-4)
-        for od0 in (0.03, 0.06, 0.1):
+        for od0, (exact, _) in zip((0.03, 0.06, 0.1), spectral._core_pass(p_tiny, [0.03, 0.06, 0.1])):
             m = make_uniform_medium(od0)
-            exact = spectral.delay_report(p_tiny, m)
             approx = spectral.asymptotics(p_tiny, m, exact.od_eff).tau_t_low_od
             rel = abs(approx - exact.tau_T) / abs(exact.tau_T)
             worst = max(worst, rel)
             report.append(f"tauT_low({od0})={rel:.3f}")
-        p = make_gaussian_pulse(0.05)
-        for od_eff in (0.01, 0.03, 0.049):
-            m = make_uniform_medium(spectral.invert_od_eff(p, od_eff))
-            exact = spectral.delay_report(p, m)
+        p, targets = make_gaussian_pulse(0.05), np.array([0.01, 0.03, 0.049, 3.0, 5.0, 8.0])
+        media = [make_uniform_medium(od0) for od0 in spectral.invert_od_eff(p, targets)]
+        cases = list(zip(targets, media, (r for r, _ in spectral._core_pass(p, [m.od0 for m in media]))))
+        for od_eff, m, exact in cases[:3]:
             approx = spectral.asymptotics(p, m, exact.od_eff).tau_s_low_od
             rel = abs(approx - exact.tau_S) / abs(exact.tau_S)
             worst = max(worst, rel)
             report.append(f"tauS_low({od_eff})={rel:.3f}")
-        for od_eff in (3.0, 5.0, 8.0):
-            m = make_uniform_medium(spectral.invert_od_eff(p, od_eff))
-            exact = spectral.delay_report(p, m)
+        for od_eff, m, exact in cases[3:]:
             asym = spectral.asymptotics(p, m, exact.od_eff)
             rel_s = abs(asym.tau_s_high_od - exact.tau_S) / abs(exact.tau_S)
             rel_t = abs(asym.tau_t_high_od - exact.tau_T) / abs(exact.tau_T)

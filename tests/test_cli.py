@@ -535,11 +535,12 @@ class TestFigureCommand:
             assert float(col) == pytest.approx(-od0, rel=1e-12)
 
     @pytest.mark.parametrize("name", ["figF1", "figG1"])
-    def test_asymptotic_figure_makes_one_pass_per_row(self, monkeypatch, name):
-        """Outside the od_eff inversion, each row takes one quadrature pass:
-        its delay_report, from which asymptotics reads od_eff. Every pass, the
-        inversion's Newton steps and replayed evaluations included, runs the one
-        doubling loop; an inversion takes at most 10 of them."""
+    def test_asymptotic_figure_takes_one_core_pass(self, monkeypatch, name):
+        """Outside the od_eff inversion, the 60 rows take one quadrature pass over
+        their depth axis, and each row holds the bits of the per-row route: a scalar
+        invert_od_eff, then delay_report, from which asymptotics reads od_eff. Every
+        pass, the inversion's Newton steps and replayed evaluations included, runs the
+        one doubling loop; the inversion takes at most 10 of them per row."""
         converge, invert = spectral._converge, spectral.invert_od_eff
         passes = {"inversion": 0, "other": 0}
         inverting = []
@@ -559,8 +560,17 @@ class TestFigureCommand:
         monkeypatch.setattr(spectral, "invert_od_eff", counted_invert)
         _, _, rows = cli.FIGURES[name]()
         assert len(rows) == 60
-        assert passes["other"] == 60
+        assert passes["other"] == 1
         assert 0 < passes["inversion"] <= 10 * 60
+        monkeypatch.undo()
+        pulse = GaussianPulse(0.05, 0.0)
+        for row in rows:
+            m = make_uniform_medium(spectral.invert_od_eff(pulse, row[0]))
+            rep = spectral.delay_report(pulse, m)
+            asym = spectral.asymptotics(pulse, m, rep.od_eff)
+            exact = [rep.tau_S, asym.tau_s_low_od, asym.tau_s_high_od] if name == "figF1" else \
+                [rep.tau_T, asym.tau_t_low_od, asym.tau_t_high_od]
+            assert [float.hex(float(v)) for v in row] == [float.hex(float(v)) for v in [row[0], m.od0] + exact]
 
     def test_validate_underresolved_grid_fails(self, capsys, monkeypatch):
         # a loose stopping rule leaves a doubling change of about 4e-4
