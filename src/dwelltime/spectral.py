@@ -80,14 +80,16 @@ def _spectral_window(pulse: GaussianPulse, od_eff=0.0):
     return pulse.detuning, half
 
 
-def _spectral_integrals(pulse: PulseSpec, rows, od_eff=0.0):
-    """(values, panels): the integral of each row of rows(w, dens) over the pulse
-    spectrum, dens its density at w, on _level's nodes until _converge stops them;
-    a narrow-band pulse gives rows(detuning, 1.0) and 0 panels; od_eff >= -ln P_T sizes
-    a Gaussian's window. Every frequency integral of the package is taken on these levels."""
+def _spectral_integrals(pulse: PulseSpec, rows):
+    """(values, panels): the integral of each row of rows(w, dens) over the pulse spectrum,
+    dens its density at w, on _level's nodes until _converge stops them; a narrow-band pulse
+    gives rows(detuning, 1.0) and 0 panels. A Gaussian keeps its own window 8 / sigma, off which
+    the density, and a row it bounds (a scattered weight), has mass below e^-128, far under
+    _converge's 1e-9; only passes that carry P_T widen it. Every frequency integral is taken here."""
     if isinstance(pulse, NarrowBandPulse):
         return _level(pulse, rows, 0), 0
-    return _converge(lambda n: _level(pulse, rows, n, od_eff))
+    vals, panels = _converge(lambda n, cols: _level(pulse, rows, n)[:, None])
+    return vals[:, 0], int(panels[0])
 
 
 def _level(pulse: PulseSpec, rows, n, od_eff=0.0):
@@ -149,21 +151,19 @@ def _joined(blocks):
 
 
 def _converge(level):
-    """Double n from N_START until no row of level(n), the row integrals on n panels,
-    changes by more than DEFAULT_TOL * max(|value|, 1). Returns (values, n). Columns, a
-    trailing axis, stop one by one as one-column calls would (n is then an array), and past
-    N_START level(n, cols) gives only the open columns."""
-    first = level(N_START)
-    prev = first if first.ndim > 1 else first[:, None]
+    """Double n from N_START until no row of level(n, cols), the rows x columns integrals
+    on n panels at columns cols (first slice(None), then the open ones), changes by more
+    than DEFAULT_TOL * max(|value|, 1); each column stops at its own first converged
+    doubling. Returns (values, panels): the rows x columns values, each column's count."""
+    prev = level(N_START, slice(None))
     values, panels, cols = np.empty_like(prev), np.empty(prev.shape[1], dtype=int), np.arange(prev.shape[1])
     n = 2 * N_START
     while n <= N_CAP:
-        vals = level(n, cols) if first.ndim > 1 else level(n)[:, None]
+        vals = level(n, cols)
         done = (np.abs(vals - prev) <= DEFAULT_TOL * np.maximum(np.abs(vals), 1.0)).all(axis=0)
-        if done.all():
-            values[:, cols], panels[cols] = vals, n
-            return (values, panels) if first.ndim > 1 else (vals[:, 0], n)
         values[:, cols[done]], panels[cols[done]] = vals[:, done], n
+        if done.all():
+            return values, panels
         cols, prev = cols[~done], vals[:, ~done]
         n *= 2
     raise NumericError(f"quadrature not converged at {N_CAP} panels (tol={DEFAULT_TOL})")
@@ -243,19 +243,19 @@ def _core_block(pulse: PulseSpec, od0):
                 for x, g, s in zip((od0 * line).tolist(), t_g.tolist(), t_s.tolist())]
 
     def level(depths, od_eff=0.0):  # _converge's level(n, cols): the _core_rows integrals at depths[cols]
-        if depths.size == 1:  # one depth is sampled without the depth axis
-            return partial(_level, pulse, _core_rows(depths[0]), od_eff=od_eff)
-        return lambda n, cols=slice(None): np.concatenate([
+        if depths.size == 1:  # one depth is sampled without the depth axis, as its one column
+            rows = _core_rows(depths[0])
+            return lambda n, cols: _level(pulse, rows, n, od_eff)[:, None]
+        return lambda n, cols: np.concatenate([
             _level(pulse, _core_rows(d[:, None]), n, od_eff)
             for d in _chunks(depths[cols], n + 1 if isinstance(pulse, GaussianPulse) else 2 * _GL_BLOCK)], axis=-1)
 
     vals, n = _converge(level(od0))
-    vals, n = vals.reshape(4, -1), np.full(od0.shape, n)
     for j, (norm, pt_raw) in enumerate(vals[:2].T.tolist()):
         # a dense medium transmits in the far wing: re-run on the window of this -ln P_T
         bound = -math.log(pt_raw / norm) if pt_raw > 0.0 else OD_EFF_MAX
         if isinstance(pulse, GaussianPulse) and _spectral_window(pulse, bound) != _spectral_window(pulse):
-            vals[:, j], n[j] = _converge(level(od0[j:j + 1], bound))
+            vals[:, j:j + 1], n[j:j + 1] = _converge(level(od0[j:j + 1], bound))
     if not (vals[1] > 0.0).all():
         raise InvalidParameterError(f"P_T underflows to 0 at od0 = {od0[~(vals[1] > 0.0)][0]:.6g}; "
                                     "the transmitted spectrum is below float64 range")
@@ -308,8 +308,8 @@ def tau_S(pulse: PulseSpec, medium: MediumProfile):
 def scattered_delay(pulse: PulseSpec, medium: MediumProfile):
     """Arrival-time delay of the scattered photon relative to free flight.
 
-    Narrow band: closed form. Finite bandwidth: average of the per-frequency
-    delay over the scattered part of the spectrum.
+    Narrow band: closed form. Finite bandwidth: average of the per-frequency delay over
+    the scattered part of the spectrum, on the pulse's own window (_spectral_integrals).
     """
     if medium.od0 == 0.0:
         raise InvalidParameterError("nothing scatters at od0 = 0")
@@ -321,7 +321,7 @@ def scattered_delay(pulse: PulseSpec, medium: MediumProfile):
         weight = dens * -np.expm1(-od0 * lorentzian(w))
         return np.stack([weight, weight * _scattered_delay_point(w, od0)])
 
-    (den, num), _ = _spectral_integrals(pulse, rows, od0)
+    (den, num), _ = _spectral_integrals(pulse, rows)
     return float(num / den)
 
 
@@ -393,7 +393,7 @@ def _invert_window(pulse: PulseSpec, targets):
         # -ln P_T at each od0 (inf, above every target, for a P_T below float range) and its slope
         slopes = {}  # panel count -> the integrals of trans and trans * line at each od0
 
-        def level(n, cols=slice(None)):
+        def level(n, cols):
             if n not in levels:
                 w, integrate = _joined(_nodes(pulse, n, targets[0]))
                 dens = pulse.spectral_density(w)

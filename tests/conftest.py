@@ -1,11 +1,18 @@
-"""Fixtures shared by the spectral and cavity tests."""
+"""Fixtures shared by the spectral and cavity tests, and a fixed Hypothesis constant pool."""
 
 import contextlib
 
 import numpy as np
 import pytest
+from hypothesis.internal.conjecture import providers
 
 from dwelltime import spectral
+
+# Hypothesis mixes the literal constants of every local module in sys.modules into its
+# draws, so derandomized examples would depend on which test modules were collected. A
+# fixed, empty pool gives each test the same examples alone and in the full suite.
+_NO_LOCAL_CONSTANTS = providers.Constants()
+providers._get_local_constants = lambda: _NO_LOCAL_CONSTANTS
 
 
 @pytest.fixture
@@ -21,11 +28,15 @@ def fine_table_rule():
         weights = (0.5 * (b - a) * wts).ravel()
         return [((0.5 * (a + b) + 0.5 * (b - a) * x).ravel(), lambda rows: (rows * weights).sum(axis=-1))]
 
+    def one_level(level):
+        vals = level(spectral.N_START, slice(None))
+        return vals, np.full(vals.shape[1], spectral.N_START)
+
     @contextlib.contextmanager
     def rule():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spectral, "_nodes", nodes)
-            mp.setattr(spectral, "_converge", lambda level: (level(spectral.N_START), spectral.N_START))
+            mp.setattr(spectral, "_converge", one_level)
             yield
 
     return rule

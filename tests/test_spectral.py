@@ -338,10 +338,10 @@ def _reference_bisection(pulse, od_eff):
             dens = pulse.spectral_density(w)
             levels[n] = integrate, dens, spectral.lorentzian(w), integrate(dens)
         integrate, dens, line, norm = levels[n]
-        return np.array([norm, integrate(dens * np.exp(-od0 * line))])
+        return np.array([[norm], [integrate(dens * np.exp(-od0 * line))]])
 
     def f(od0):
-        (norm, pt_raw), _ = spectral._converge(lambda n: level(n, od0))
+        ((norm,), (pt_raw,)), _ = spectral._converge(lambda n, cols: level(n, od0))
         return float(-np.log(pt_raw / norm)) if pt_raw > 0.0 else math.inf
 
     lo = target
@@ -516,11 +516,11 @@ def _wide_window_tau_t(pulse, od0):
     """tau_T of the core rows on a window of 60 / sigma about the carrier."""
     rows = spectral._core_rows(od0)
 
-    def level(n):
+    def level(n, cols):
         w, h = spectral._panel_grid(pulse.detuning, 60.0 / pulse.sigma, n)
-        return spectral._trapezoid(h, rows(w, pulse.spectral_density(w)))
+        return spectral._trapezoid(h, rows(w, pulse.spectral_density(w)))[:, None]
 
-    (_, pt_raw, _, num), _ = spectral._converge(level)
+    (_, (pt_raw,), _, (num,)), _ = spectral._converge(level)
     return num / pt_raw
 
 
@@ -603,6 +603,19 @@ def test_short_pulse_window_takes_few_panels(panels, integrate):
     # panels in all but scattered_delay; its breakpoint rule stops at 2048
     integrate()
     assert panels and max(panels) <= 2048
+
+
+@pytest.mark.parametrize("od0", [100.0, 1e3, 1e4])
+def test_scattered_delay_takes_the_pulse_window(panels, od0):
+    # every scattered row is bounded by the density, so the pulse's own window holds it;
+    # a window sized by od0 took 8192 panels at od0 100 where the report's pass takes 4096
+    pulse, medium = GaussianPulse(0.02, 0.7), make_uniform_medium(od0)
+    report = spectral.delay_report(pulse, medium)
+    report_panels = np.max(panels)
+    panels.clear()
+    delay = spectral.scattered_delay(pulse, medium)
+    assert np.max(panels) <= report_panels
+    assert delay == pytest.approx(report.tau_S, rel=1e-12)
 
 
 def test_quadrature_cap_raises():
