@@ -37,11 +37,9 @@ N_START = 1024
 N_CAP = 2**20
 # two-point Gauss-Legendre on [-1, 1]: nodes +-_GL_X, each of weight 1
 _GL_X = math.sqrt(1.0 / 3.0)
-# table intervals whose nodes a level samples at once: the temporaries of one block
-# stay near 300 kB however many samples the table has, so a table pass does not
-# grow and hand back the heap on every call
-_GL_BLOCK = 2048
-_BLOCK = 2**14  # depths x nodes that a level samples at once: its temporaries stay below 1 MB
+# depths x nodes that a level samples at once, in blocks of _BLOCK // 4 nodes: its
+# temporaries stay below 1 MB however many panels or depths it has
+_BLOCK = 2**14
 
 
 def lorentzian(omega):
@@ -92,37 +90,50 @@ def _spectral_integrals(pulse: PulseSpec, rows):
     return vals[:, 0], int(panels[0])
 
 
-def _level(pulse: PulseSpec, rows, n, od_eff=0.0):
-    """The row integrals on level n's nodes (_nodes) for a -ln P_T of at most od_eff."""
+def _level(pulse: PulseSpec, rows, n, od_eff=0.0, depths=None):
+    """The row integrals on level n's nodes (_nodes) for a -ln P_T of at most od_eff, the sum of
+    its blocks' (_integrate_block); given a 1-D array of depths, with a trailing depth axis."""
     if isinstance(pulse, NarrowBandPulse):
         return np.asarray(rows(pulse.detuning, 1.0))
-    return _sum_blocks(integrate(np.asarray(rows(w, pulse.spectral_density(w))))
+    return _sum_blocks(_integrate_block(integrate, rows, depths, w, pulse.spectral_density(w))
                        for w, integrate in _nodes(pulse, n, od_eff))
 
 
-def _nodes(pulse: PulseSpec, n, od_eff=0.0):
-    """Level n's blocks (w, integrate): frequency nodes w, and integrate(rows), the rule
-    that sums rows sampled at w along their last axis into the block's integrals. The
-    level's integrals are the blocks' sum (_sum_blocks).
+def _integrate_block(integrate, rows, depths, x, dens):
+    """One block's integrals of rows(x, dens), x a sample at each of its nodes and dens the
+    density there. Given a 1-D array of depths, rows(d) gives the rows of a (k, 1) column d
+    of them, taken max(1, _BLOCK // nodes) depths at a time, and their integrals are joined
+    along a trailing depth axis."""
+    if depths is None:
+        return integrate(np.asarray(rows(x, dens)))
+    step = max(1, _BLOCK // x.size)
+    return np.concatenate([integrate(rows(depths[i:i + step, None])(x, dens))
+                           for i in range(0, depths.size, step)], axis=-1)
 
-    A Gaussian: one block, the trapezoid on n uniform panels over its window for a
-    -ln P_T of at most od_eff. A table: two-point Gauss-Legendre on each interval
-    between its own samples and the n + 1 uniform points over its span, _GL_BLOCK
-    intervals a block. Its density, |linear interpolant|^2, is quadratic on each such
-    interval and 0 off the span, so only the rows' other factors limit the rule. Its
-    nodes number at most 2 (n + m) for m table intervals; past n = N_CAP / 2 it raises
-    _converge's NumericError.
+
+def _nodes(pulse: PulseSpec, n, od_eff=0.0):
+    """Level n's blocks (w, integrate) of about _BLOCK // 4 nodes each: frequency nodes w,
+    and integrate(rows), the rule that sums rows sampled at w along their last axis into
+    the block's integrals. The level's integrals are the blocks' sum (_sum_blocks).
+
+    A Gaussian: the trapezoid on n uniform panels over its window for a -ln P_T of at most
+    od_eff, _BLOCK // 4 panels a block; each block is its own trapezoid, and shares its
+    end node with the next. A table: two-point Gauss-Legendre on each interval between its
+    own samples and the n + 1 uniform points over its span, _BLOCK // 8 intervals a block.
+    Its density, |linear interpolant|^2, is quadratic on each such interval and 0 off the
+    span, so only the rows' other factors limit the rule. Its nodes number at most
+    2 (n + m) for m table intervals; past n = N_CAP / 2 it raises _converge's NumericError.
     """
     if isinstance(pulse, GaussianPulse):
         w, h = _panel_grid(*_spectral_window(pulse, od_eff), n)
-        return [(w, partial(_trapezoid, h))]
+        return ((w[i:i + _BLOCK // 4 + 1], partial(_trapezoid, h)) for i in range(0, n, _BLOCK // 4))
     if 2 * n > N_CAP:
         raise NumericError(f"quadrature not converged at {N_CAP} panels (tol={DEFAULT_TOL})")
     omegas = pulse.omegas
     # their union, as np.union1d takes it; np.unique's first call would import numpy.ma
     edges = np.sort(np.concatenate([omegas, np.linspace(omegas[0], omegas[-1], n + 1)]))
     edges = edges[np.concatenate([[True], edges[1:] != edges[:-1]])]
-    return (_gauss_legendre(edges[i:i + _GL_BLOCK + 1]) for i in range(0, edges.size - 1, _GL_BLOCK))
+    return (_gauss_legendre(edges[i:i + _BLOCK // 8 + 1]) for i in range(0, edges.size - 1, _BLOCK // 8))
 
 
 def _gauss_legendre(edges):
@@ -137,17 +148,6 @@ def _gauss_legendre(edges):
 def _sum_blocks(integrals):
     """The sum of a level's per-block integrals; a single block's, unchanged."""
     return reduce(np.add, integrals)
-
-
-def _joined(blocks):
-    """A level's blocks as one (w, integrate), for a caller that keeps every sample of
-    the level; integrate sums each block's slice of the samples by its own rule."""
-    ws, rules = zip(*blocks)
-    if len(rules) == 1:
-        return ws[0], rules[0]
-    cuts = np.cumsum([w.size for w in ws[:-1]])
-    return np.concatenate(ws), lambda rows: _sum_blocks(
-        rule(part) for rule, part in zip(rules, np.split(rows, cuts, axis=-1)))
 
 
 def _converge(level):
@@ -167,12 +167,6 @@ def _converge(level):
         cols, prev = cols[~done], vals[:, ~done]
         n *= 2
     raise NumericError(f"quadrature not converged at {N_CAP} panels (tol={DEFAULT_TOL})")
-
-
-def _chunks(items, nodes):
-    """items in runs of _BLOCK // nodes, or of 1: the depths a level of nodes samples at once."""
-    step = max(1, _BLOCK // nodes)
-    return [items[i:i + step] for i in range(0, len(items), step)]
 
 
 def _by_column(batch, values):
@@ -226,29 +220,26 @@ def _core_pass(pulse: PulseSpec, depths):
     array depths (a MediumProfile: its od0) as one-depth calls give, or their first error.
 
     Narrow band: closed forms at the carrier (0 panels). Finite bandwidth: the four
-    _core_rows of all depths in one _converge, with tau_S from the outcome sum rule and
-    the narrow-band-only delays NaN; a depth whose own -ln P_T needs a wider window
-    re-runs on it. The conditional times are NaN at od0 = 0.
+    _core_rows of all depths in one blocked _converge (_level), with tau_S from the outcome
+    sum rule and the narrow-band-only delays NaN; a depth whose own -ln P_T needs a wider
+    window re-runs on it. The conditional times are NaN at od0 = 0.
     """
     depths = np.asarray(getattr(depths, "od0", depths), dtype=float).reshape(-1)
+    if isinstance(pulse, NarrowBandPulse):
+        line, t_w = float(lorentzian(pulse.detuning)), wigner_delay(pulse.detuning)
+        t_g, t_s = group_delay(pulse.detuning, depths), _scattered_delay_point(pulse.detuning, depths)
+        return [(DelayReport(P_T=math.exp(-x), P_S=-math.expm1(-x), tau_0=-math.expm1(-x), tau_T=g, tau_S=s,
+                             t_g=g, t_W=t_w, t_S=s, od_eff=x, method="analytic"), 0)
+                for x, g, s in zip((depths * line).tolist(), t_g.tolist(), t_s.tolist())]
     return _by_column(partial(_core_block, pulse), depths)
 
 
 def _core_block(pulse: PulseSpec, od0):
-    if isinstance(pulse, NarrowBandPulse):
-        line, t_w = float(lorentzian(pulse.detuning)), wigner_delay(pulse.detuning)
-        t_g, t_s = group_delay(pulse.detuning, od0), _scattered_delay_point(pulse.detuning, od0)
-        return [(DelayReport(P_T=math.exp(-x), P_S=-math.expm1(-x), tau_0=-math.expm1(-x), tau_T=g, tau_S=s,
-                             t_g=g, t_W=t_w, t_S=s, od_eff=x, method="analytic"), 0)
-                for x, g, s in zip((od0 * line).tolist(), t_g.tolist(), t_s.tolist())]
-
     def level(depths, od_eff=0.0):  # _converge's level(n, cols): the _core_rows integrals at depths[cols]
         if depths.size == 1:  # one depth is sampled without the depth axis, as its one column
             rows = _core_rows(depths[0])
             return lambda n, cols: _level(pulse, rows, n, od_eff)[:, None]
-        return lambda n, cols: np.concatenate([
-            _level(pulse, _core_rows(d[:, None]), n, od_eff)
-            for d in _chunks(depths[cols], n + 1 if isinstance(pulse, GaussianPulse) else 2 * _GL_BLOCK)], axis=-1)
+        return lambda n, cols: _level(pulse, _core_rows, n, od_eff, depths[cols])
 
     vals, n = _converge(level(od0))
     for j, (norm, pt_raw) in enumerate(vals[:2].T.tolist()):
@@ -354,8 +345,8 @@ def invert_od_eff(pulse: PulseSpec, od_eff):
     bisection is then replayed against the roots, and evaluates the objective only for
     the targets within _REPLAY_GAP of their root. A Newton iterate past 1e9 raises the
     bisection's NumericError at once; where Newton finds no finite root otherwise, the
-    bisection runs on the objective alone. Every pass reuses each level's nodes, rule
-    (_nodes, _joined) and density, built once per window.
+    bisection runs on the objective alone. Every pass reuses each level's blocks (_nodes):
+    each block's rule, density and line, built once per window.
     """
     targets = np.asarray(od_eff, dtype=float)
     od0 = np.asarray(_by_column(partial(_invert_block, pulse), targets.reshape(-1)), dtype=float)
@@ -387,7 +378,15 @@ def _invert_block(pulse: PulseSpec, targets):
 
 def _invert_window(pulse: PulseSpec, targets):
     """invert_od_eff of nonzero targets in [0, OD_EFF_MAX] that share a window."""
-    levels = {}  # panel count -> the od0-independent parts: rule, density, line, norm
+    levels = {}  # panel count -> the od0-independent parts: its blocks' (rule, line, density), the norm
+
+    def transmitted(d):  # (line, dens) -> the rows trans and trans * line at a (k, 1) column d of od0
+        def rows(line, dens):
+            out = np.empty((2, d.shape[0], line.size))
+            trans = np.multiply(np.exp(-d * line, out=out[1]), dens, out=out[0])
+            np.multiply(trans, line, out=out[1])
+            return out
+        return rows
 
     def f(od0):
         # -ln P_T at each od0 (inf, above every target, for a P_T below float range) and its slope
@@ -395,14 +394,13 @@ def _invert_window(pulse: PulseSpec, targets):
 
         def level(n, cols):
             if n not in levels:
-                w, integrate = _joined(_nodes(pulse, n, targets[0]))
-                dens = pulse.spectral_density(w)
-                levels[n] = integrate, dens, lorentzian(w), integrate(dens)
-            integrate, dens, line, norm = levels[n]
+                blocks = [(integrate, lorentzian(w), pulse.spectral_density(w))
+                          for w, integrate in _nodes(pulse, n, targets[0])]
+                levels[n] = blocks, _sum_blocks(integrate(dens) for integrate, _, dens in blocks)
+            blocks, norm = levels[n]
             idx, raw = np.arange(od0.size)[cols], slopes.setdefault(n, np.empty((2, od0.size)))
-            for chunk in _chunks(idx, line.size):
-                trans = dens * np.exp(-od0[chunk, None] * line)
-                raw[:, chunk] = integrate(trans), integrate(trans * line)
+            raw[:, idx] = _sum_blocks(_integrate_block(integrate, transmitted, od0[idx], line, dens)
+                                      for integrate, line, dens in blocks)
             return np.array([np.full(idx.size, norm), raw[0, idx]])
 
         (norm, pt_raw), n = _converge(level)

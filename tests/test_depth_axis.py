@@ -38,8 +38,10 @@ def _hex(report):
 
 
 # pulse -> depths: od0 = 0 (NaN tau_S), moderate depths, and for the Gaussians depths
-# whose -ln P_T exceeds 88 and so re-run on a wider window (DENSE)
+# whose -ln P_T exceeds 88 and so re-run on a wider window (DENSE); sigma 0.02 takes
+# 2048-16384 panels, so its levels span one to four blocks
 DEPTHS = {
+    "sigma0.02": (lambda: GaussianPulse(0.02), [0.0, 0.1, 2.0, 20.0, 300.0, 1e6]),
     "sigma0.05": (lambda: GaussianPulse(0.05), [0.0, 0.1, 3.0, 640.0, 1e7, 1e8]),
     "sigma1": (lambda: GaussianPulse(1.0, 0.3), [0.0, 0.5, 2.0, 30.0, 1e4, 1e5]),
     "sigma100": (lambda: GaussianPulse(100.0), [0.0, 1.0, 4.0, 15.0, 640.0]),
@@ -132,14 +134,27 @@ def test_inversion_raises_the_first_failing_targets_error(pulse, targets):
     assert str(info.value) == want[1]
 
 
+def _traced_peak(call):
+    """The traced peak memory of call(), in bytes, after one untraced call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("name", ["fig2", "fig4", "figF1"])
 def test_figure_blocks_stay_small(name):
     # one unblocked pass over a figure column holds 10-32 MB of samples at once
-    cli.FIGURES[name]()
-    tracemalloc.start()
-    try:
-        cli.FIGURES[name]()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2e6
+    assert _traced_peak(cli.FIGURES[name]) <= 2e6
+
+
+@pytest.mark.parametrize("call", [spectral.delay_report, spectral.scattered_delay],
+                         ids=["delay_report", "scattered_delay"])
+def test_long_pulse_blocks_stay_small(call):
+    # a 16384-panel level sampled whole holds 1.32 MB (delay_report) and 1.46 MB at once
+    pulse, medium = GaussianPulse(0.02, 0.7), make_uniform_medium(2.0)
+    assert spectral._core_pass(pulse, medium)[0][1] == 16384
+    assert _traced_peak(lambda: call(pulse, medium)) <= 0.6e6

@@ -257,17 +257,20 @@ class TestEffectiveDepth:
         assert spectral.delay_report(p, make_uniform_medium(od0)).od_eff == pytest.approx(708.0, rel=1e-9)
 
     def test_inversion_samples_density_once_per_level(self):
-        # every pass reuses the density of the panel levels it visits
+        # every pass reuses the density of each block of the panel levels it visits;
+        # at sigma 0.02 the 8192-panel level is two blocks
         calls = []
 
         class CountedPulse(GaussianPulse):
             def spectral_density(self, w):
-                calls.append(np.size(w))
+                calls.append((float(w[0]), float(w[-1]), np.size(w)))
                 return super().spectral_density(w)
 
-        spectral.invert_od_eff(CountedPulse(1.0), 5.0)
-        assert 1 <= len(calls) <= 3
-        assert len(set(calls)) == len(calls)
+        for sigma, blocks in ((1.0, 3), (0.02, 5)):
+            calls.clear()
+            spectral.invert_od_eff(CountedPulse(sigma), 5.0)
+            assert 1 <= len(calls) <= blocks
+            assert len(set(calls)) == len(calls)
 
     @pytest.mark.parametrize("name", sorted(INVERSION_HEX))
     def test_inversion_bits_pinned(self, name):
@@ -334,11 +337,12 @@ def _reference_bisection(pulse, od_eff):
 
     def level(n, od0):
         if n not in levels:
-            w, integrate = spectral._joined(spectral._nodes(pulse, n, target))
-            dens = pulse.spectral_density(w)
-            levels[n] = integrate, dens, spectral.lorentzian(w), integrate(dens)
-        integrate, dens, line, norm = levels[n]
-        return np.array([[norm], [integrate(dens * np.exp(-od0 * line))]])
+            levels[n] = [(integrate, pulse.spectral_density(w), spectral.lorentzian(w))
+                         for w, integrate in spectral._nodes(pulse, n, target)]
+        blocks = levels[n]
+        norm = sum(integrate(dens) for integrate, dens, _ in blocks)
+        pt_raw = sum(integrate(dens * np.exp(-od0 * line)) for integrate, dens, line in blocks)
+        return np.array([[norm], [pt_raw]])
 
     def f(od0):
         ((norm,), (pt_raw,)), _ = spectral._converge(lambda n, cols: level(n, od0))
@@ -616,6 +620,17 @@ def test_scattered_delay_takes_the_pulse_window(panels, od0):
     delay = spectral.scattered_delay(pulse, medium)
     assert np.max(panels) <= report_panels
     assert delay == pytest.approx(report.tau_S, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [8192, 65536])
+def test_gaussian_level_in_blocks_is_the_whole_trapezoid(n):
+    # past _BLOCK // 4 panels a Gaussian level is a run of trapezoids that share their
+    # end nodes; their sum is the whole level's trapezoid up to the order of its additions
+    pulse, rows = GaussianPulse(0.02), spectral._core_rows(2.0)
+    assert len(list(spectral._nodes(pulse, n))) == n // (spectral._BLOCK // 4)
+    w, h = spectral._panel_grid(*spectral._spectral_window(pulse), n)
+    whole = spectral._trapezoid(h, rows(w, pulse.spectral_density(w)))
+    np.testing.assert_allclose(spectral._level(pulse, rows, n), whole, rtol=1e-14, atol=0.0)
 
 
 def test_quadrature_cap_raises():
