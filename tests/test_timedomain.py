@@ -5,6 +5,7 @@ structural invariants: norm bookkeeping, exact adjoint stepping (constant
 overlap), and the center-of-mass delay identities.
 """
 
+import hashlib
 import math
 import tracemalloc
 
@@ -316,3 +317,50 @@ def test_ramped_medium_numbers_pinned():
     assert transmitted == pytest.approx(0.07509576177744687, rel=1e-12)
     assert float(np.abs(fwd.beta).sum()) == pytest.approx(11754.654278669655, rel=1e-12)
     assert timedomain.tau_S_oracle(fwd, medium) == pytest.approx(0.9624931866542472, rel=1e-12)
+
+
+RAMP_PULSE = GaussianPulse(0.7, 0.4)
+RAMP_MEDIUM = make_tabulated_medium(np.linspace(0.0, 1.0, 5), [0.3, 0.6, 0.9, 1.2, 0.8])
+
+# float.hex of every reported time-domain number, and SHA-256 of the beta
+# histories, for the default run and the ramped medium: any change to the
+# arithmetic of a step, however small, moves these
+BITS = {
+    "default": dict(
+        p_t="0x1.3e8fa23f33637p-2", tau_T_td="-0x1.3433cb5bb85d7p-2",
+        tau_avg_td="0x1.60b83ed9ebdc6p-1", bookkeeping_dev="0x1.ff30b1f000000p-22",
+        tau_S_oracle="0x1.22cb7ad8b0ae2p+0",
+        com_delays=("-0x1.3433268041b37p-2", "0x1.22cb2b1fcbf01p+0"),
+        overlap=("0x1.1d928d0c24492p-1", "0x0.0p+0"),
+        beta_fwd="6233279eb0bb1f3c2a6c0d00c1d0419cf6067dd89b232181c731d5f19d71675d",
+        beta_bwd="5dcc8dd9f204c74dfbf533c7e29d687e47d9e38f2aaeb9a1e1f17c2af39c98fb"),
+    "ramped": dict(
+        p_t="0x1.553729b416cb1p-2", tau_T_td="0x1.3385404712034p-4",
+        tau_avg_td="0x1.5564eb9564163p-1", bookkeeping_dev="0x1.2a6d1b4080000p-18",
+        tau_S_oracle="0x1.eccbe82e9b090p-1",
+        com_delays=("0x1.33979d0e6ffd4p-4", "0x1.ecc738e574780p-1"),
+        overlap=("0x1.278d6375d09e2p-1", "-0x1.4271b3799999ap-58"),
+        beta_fwd="ef8b2b54f8702201c5da0ad59bd27e5382a2615940266c5f57329046014b7527",
+        beta_bwd="2eadcede589d6adeac5b5250436269678d65697c53be85a13549388a68e18161"),
+}
+
+
+@pytest.fixture(scope="module")
+def run_ramped():
+    grid = timedomain.GridSpec.build(RAMP_PULSE, RAMP_MEDIUM, cells_per_medium=80)
+    fwd = timedomain.integrate_forward(RAMP_PULSE, RAMP_MEDIUM, grid)
+    return fwd, timedomain.integrate_backward(fwd, RAMP_MEDIUM)
+
+
+@pytest.mark.parametrize("case, medium", [("default", MEDIUM), ("ramped", RAMP_MEDIUM)])
+def test_outputs_keep_their_bits(request, case, medium):
+    fwd, bwd = request.getfixturevalue(f"run_{case}")
+    got = dict(
+        p_t=fwd.p_t.hex(), tau_T_td=timedomain.tau_T_td(fwd, bwd).hex(),
+        tau_avg_td=timedomain.tau_avg_td(fwd).hex(), bookkeeping_dev=fwd.bookkeeping_dev.hex(),
+        tau_S_oracle=timedomain.tau_S_oracle(fwd, medium).hex(),
+        com_delays=tuple(x.hex() for x in timedomain.com_delays(fwd)),
+        overlap=(bwd.overlap[-1].real.hex(), bwd.overlap[-1].imag.hex()),
+        beta_fwd=hashlib.sha256(fwd.beta.tobytes()).hexdigest(),
+        beta_bwd=hashlib.sha256(bwd.beta.tobytes()).hexdigest())
+    assert got == BITS[case]
