@@ -53,13 +53,19 @@ def lorentzian(omega):
 def group_delay(detuning, od0):
     """Stationary-phase transmission delay through resonant optical depth od0;
     its limit 0 where (1 + (2 w)^2)^2 overflows (|w| above about 6e76)."""
-    w = np.asarray(detuning, dtype=float)
+    delay = _line_and_delay(np.asarray(detuning, dtype=float), od0)[1]
+    return delay if delay.ndim else float(delay)
+
+
+def _line_and_delay(w, od0):
+    """(lorentzian(w), group_delay(w, od0)) as arrays, from one (2 w)^2 and one errstate."""
     with np.errstate(over="ignore", invalid="ignore"):
         w2 = 4.0 * w * w
+        line = 1.0 / (1.0 + w2)
         den = (1.0 + w2) ** 2
         delay = np.asarray(-od0 * (1.0 - w2) / den)
     np.copyto(delay, 0.0, where=np.isinf(den))  # the limit, where x / inf gives 0 and inf / inf NaN
-    return delay if delay.ndim else float(delay)
+    return line, delay
 
 
 def wigner_delay(detuning):
@@ -202,11 +208,11 @@ def _core_rows(od0):
     depths, as a function of (w, dens): norm, P_T, P_S and the tau_T numerator, unnormalized."""
 
     def rows(w, dens):
-        # out first: allocated after group_delay's temporaries, it made the heap shrink and regrow
+        # out first: allocated after _line_and_delay's temporaries, it made the heap shrink and regrow
         out = np.empty((4, *np.shape(od0)[:-1], *np.shape(w)))
-        delay = group_delay(w, od0)
+        line, delay = _line_and_delay(w, od0)
         out[0] = dens
-        neg_x = np.negative(np.multiply(od0, lorentzian(w), out=out[2]), out=out[2])
+        neg_x = np.negative(np.multiply(od0, line, out=out[2]), out=out[2])
         trans = np.multiply(np.exp(neg_x, out=out[1]), dens, out=out[1])
         np.multiply(np.negative(np.expm1(neg_x, out=out[2]), out=out[2]), dens, out=out[2])
         np.multiply(trans, delay, out=out[3])

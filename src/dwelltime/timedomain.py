@@ -8,9 +8,11 @@ forward step, which keeps the forward/backward overlap constant to rounding.
 The field is stored in the co-moving frame: lab cell i at step n lives at
 retarded index max_steps + i - n of one array, so free flight is an index
 offset rather than a copy, and each half step reads and writes only the n_med
-cells under the medium. The work per step is O(n_med); the stored beta
-histories still take O(steps * n_med) memory, and GridSpec.build rejects a
-grid whose two histories would exceed MAX_HISTORY_BYTES.
+cells under the medium. The forward pass, the backward pass and the tau_S
+oracle share one step kernel (_stepper), made once per pass, that runs a step
+in place on preallocated rows: a step allocates nothing. The work per step is
+O(n_med); the stored beta histories still take O(steps * n_med) memory, and
+GridSpec.build rejects a grid whose two histories would exceed MAX_HISTORY_BYTES.
 
 The domain is sized so the forward run loses nothing at a boundary: the right
 edge lies beyond the light cone of the run, the left edge holds the full
@@ -180,10 +182,10 @@ def _coupling_halfstep(medium: MediumProfile, grid: GridSpec, sign: float):
     """Exact 2x2 matrix exponential of the local coupling over dt/2.
 
     Returns complex coefficient arrays (a11, sign i a12, a22) over the medium
-    cells, for _apply_half; the half-step maps (alpha, beta) ->
-    (a11 a + i a12 b, i a12 a + a22 b) with sign = +1, and its exact adjoint is
-    the same map with sign = -1. The real a11, a22 are stored as complex so that
-    no step pays for the cast.
+    cells, for _stepper; the half-step maps (alpha, beta) ->
+    (a11 a + i a12 b, i a12 a + a22 b) in place with sign = +1, and its exact
+    adjoint is the same map with sign = -1. The real a11, a22 are stored as
+    complex so that no step pays for the cast.
     """
     h = grid.dt / 2.0
     zc = grid.z_centers[grid.i_med0:grid.i_med0 + grid.n_med]
@@ -202,26 +204,36 @@ def _coupling_halfstep(medium: MediumProfile, grid: GridSpec, sign: float):
     return a11.astype(complex), sign * 1j * a12, a22.astype(complex)
 
 
-def _apply_half(alpha_med, beta, a11, ia12, a22):
-    na = a11 * alpha_med + ia12 * beta
-    nb = ia12 * alpha_med + a22 * beta
-    return na, nb
-
-
 def _norm2(x):
     return float(np.vdot(x, x).real)
 
 
-def _step(field, k, beta, coef, shift):
-    """One step in the co-moving frame: a half step on the medium window
+def _stepper(coef, field, shift):
+    """Step kernel over the co-moving buffer field, with the half-step
+    coefficients coef and three scratch rows bound once per pass.
+
+    step(k, beta, out) runs one step in place: a half step on the medium window
     field[k:k + n_med], free flight (the window moves by shift), a second half
-    step. Returns the new beta; the field changes only on the n_med + 1 cells
-    that the two windows cover."""
-    nm = beta.size
-    for j in (k, k + shift):
-        am, beta = _apply_half(field[j:j + nm], beta, *coef)
-        field[j:j + nm] = am
-    return beta
+    step, and writes the new beta into out (which may be beta itself). The
+    field changes only on the n_med + 1 cells that the two windows cover.
+    """
+    a11, ia12, a22 = coef
+    nm = a11.size
+    s1, s2, s3 = (np.empty(nm, dtype=complex) for _ in range(3))
+    mul, add = np.multiply, np.add
+
+    def step(k, beta, out):
+        for j in (k, k + shift):
+            am = field[j:j + nm]
+            mul(a11, am, out=s1)
+            mul(ia12, beta, out=s2)
+            mul(ia12, am, out=s3)
+            mul(a22, beta, out=out)  # beta is read for the last time
+            add(s1, s2, out=am)
+            add(s3, out, out=out)
+            beta = out
+
+    return step
 
 
 def _initial_field(pulse: PulseSpec, grid: GridSpec):
@@ -241,23 +253,22 @@ def integrate_forward(pulse: PulseSpec, medium: MediumProfile, grid: GridSpec | 
     """Propagate the initial pulse through the medium under no-jump evolution."""
     if grid is None:
         grid = GridSpec.build(pulse, medium)
-    dz = grid.dz
-    dt = grid.dt
+    dz, dt = grid.dz, grid.dt
     nm, ms, nc = grid.n_med, grid.max_steps, grid.n_cells
     # Co-moving frame: lab cell i at step n is field[ms + i - n], so free flight
     # is the index offset and each half step touches only the medium window.
     field = np.zeros(ms + nc, dtype=complex)
     field[ms:] = _initial_field(pulse, grid)
-    beta = np.zeros(nm, dtype=complex)
-    coef = _coupling_halfstep(medium, grid, 1.0)
+    step = _stepper(_coupling_halfstep(medium, grid, 1.0), field, -1)
     na = dz * float((np.abs(field[ms:]) ** 2).sum())
 
-    # rows past the last step stay untouched
+    # step n writes its beta straight into row n; rows past the last step stay untouched
     beta_rows = np.empty((ms + 1, nm), dtype=complex)
-    beta_rows[0] = beta
+    beta_rows[0] = 0.0
     nb = scat = 0.0  # excited norm and Gamma * its time integral so far
     snaps = [field[ms:].copy()]
 
+    t_start, snap_every = grid.t_start, grid.snap_every
     t_min_end = medium.length + grid.t_half + 4 * dz
     peak_beta = 0.0
     book_dev = 0.0
@@ -265,15 +276,15 @@ def integrate_forward(pulse: PulseSpec, medium: MediumProfile, grid: GridSpec | 
     for n in range(1, ms + 1):
         covered = field[k - 1:k + nm]  # a view: both windows of this step
         before = _norm2(covered)
-        beta = _step(field, k, beta, coef, -1)
+        beta = beta_rows[n]
+        step(k, beta_rows[n - 1], beta)
         k -= 1
         na += dz * (_norm2(covered) - before)
 
-        t = grid.t_start + n * dt
+        t = t_start + n * dt
         nb_prev, nb = nb, dz * _norm2(beta)
         scat += dt * 0.5 * (nb_prev + nb)  # Gamma = 1
-        beta_rows[n] = beta
-        if n % grid.snap_every == 0:
+        if n % snap_every == 0:
             snaps.append(field[ms - n:ms - n + nc].copy())
         book_dev = max(book_dev, abs(na + nb + scat - 1.0))
         peak_beta = max(peak_beta, nb)
@@ -283,7 +294,7 @@ def integrate_forward(pulse: PulseSpec, medium: MediumProfile, grid: GridSpec | 
         raise NumericError(
             f"excited norm did not settle below {RESIDUAL_TOL} of peak within {ms} steps")
     final_alpha = field[ms - n:ms - n + nc]
-    if n % grid.snap_every:
+    if n % snap_every:
         snaps.append(final_alpha.copy())
     p_t = dz * _norm2(final_alpha) + nb  # exact, and >= 0 in opaque media
     return FieldHistory(
@@ -308,36 +319,32 @@ def integrate_backward(forward: FieldHistory, medium: MediumProfile):
     grid = forward.grid
     if not forward.p_t > 0:
         raise InvalidParameterError("transmission post-selection needs P_T > 0")
-    dz = grid.dz
+    dz, snap_every = grid.dz, grid.snap_every
     nm, ms, nc = grid.n_med, grid.max_steps, grid.n_cells
     n_end = forward.n_rec - 1
     root = math.sqrt(forward.p_t)
     # same co-moving layout as the forward pass; the window now moves right
     field = np.zeros(ms + nc, dtype=complex)
     field[ms - n_end:ms - n_end + nc] = forward.snap_alpha[-1] / root
-    beta = np.zeros(nm, dtype=complex)
-    coef = _coupling_halfstep(medium, grid, -1.0)
+    step = _stepper(_coupling_halfstep(medium, grid, -1.0), field, 1)
 
     beta_rows = np.empty((n_end + 1, nm), dtype=complex)
-    beta_rows[n_end] = beta
+    beta_rows[n_end] = 0.0
     overlaps = np.full(len(forward.snap_alpha), np.nan + 0j, dtype=complex)
 
-    def record_overlap(step_idx):
-        # at the forward snapshots: each multiple of snap_every, and the final step
-        if step_idx % grid.snap_every and step_idx != n_end:
-            return
-        k = -1 if step_idx == n_end else step_idx // grid.snap_every
-        alpha = field[ms - step_idx:ms - step_idx + nc]
-        ov = np.vdot(alpha, forward.snap_alpha[k]) + np.vdot(beta, forward.beta[step_idx])
-        overlaps[k] = dz * ov
+    def record_overlap(n, i_snap):
+        alpha = field[ms - n:ms - n + nc]
+        ov = np.vdot(alpha, forward.snap_alpha[i_snap]) + np.vdot(beta_rows[n], forward.beta[n])
+        overlaps[i_snap] = dz * ov
 
-    record_overlap(n_end)
+    # at the forward snapshots: the final step, and each multiple of snap_every
+    record_overlap(n_end, -1)
     k = ms + grid.i_med0 - n_end  # start of the medium window at step n + 1
     for n in range(n_end - 1, -1, -1):
-        beta = _step(field, k, beta, coef, 1)
+        step(k, beta_rows[n + 1], beta_rows[n])
         k += 1
-        beta_rows[n] = beta
-        record_overlap(n)
+        if n % snap_every == 0:
+            record_overlap(n, n // snap_every)
     return FieldHistory(grid=grid, direction="backward", beta=beta_rows, p_t=forward.p_t,
                         overlap=overlaps)
 
@@ -449,13 +456,14 @@ def tau_S_oracle(forward: FieldHistory, medium: MediumProfile):
     # the kernel's alpha part in a co-moving buffer: its medium window moves one
     # cell right per adjoint step (restricted to the medium, which is exact there:
     # the post-selected field never re-enters from either side)
-    coef = _coupling_halfstep(medium, grid, -1.0)
     field = np.zeros(n_rec + nm, dtype=complex)
+    step = _stepper(_coupling_halfstep(medium, grid, -1.0), field, 1)
     s_beta = f[n_rec - 1] / dz
+    f_dz = np.empty(nm, dtype=complex)  # f[n] / dz
     acc = np.vdot(s_beta, f[n_rec - 1])
     for n in range(n_rec - 2, -1, -1):
-        s_beta = _step(field, n_rec - 2 - n, s_beta, coef, 1)
-        s_beta += f[n] / dz
+        step(n_rec - 2 - n, s_beta, s_beta)
+        np.add(s_beta, np.divide(f[n], dz, out=f_dz), out=s_beta)
         acc += np.vdot(s_beta, f[n])
     acc -= 0.5 * f2 / dz  # the lag-0 trapezoid weight
     return float((dt * dt * dz * dz / p_s_td) * acc.real)  # Gamma = 1

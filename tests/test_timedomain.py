@@ -364,3 +364,35 @@ def test_outputs_keep_their_bits(request, case, medium):
         beta_fwd=hashlib.sha256(fwd.beta.tobytes()).hexdigest(),
         beta_bwd=hashlib.sha256(bwd.beta.tobytes()).hexdigest())
     assert got == BITS[case]
+
+
+@pytest.mark.parametrize("in_place", [False, True], ids=["into_out", "into_beta"])
+@pytest.mark.parametrize("sign, shift", [(1.0, -1), (-1.0, 1)], ids=["forward", "adjoint"])
+def test_step_equals_two_fresh_half_steps(sign, shift, in_place):
+    """One in-place step of the kernel equals, bit for bit, two half steps written
+    with fresh arrays around a free flight by shift, whether the new beta goes to
+    its own row or over beta itself; the field changes only on the n_med + 1
+    cells that the two windows cover."""
+    grid = timedomain.GridSpec.build(RAMP_PULSE, RAMP_MEDIUM, cells_per_medium=80)
+    coef = timedomain._coupling_halfstep(RAMP_MEDIUM, grid, sign)
+    nm, k = grid.n_med, 5
+    rng = np.random.default_rng(22)
+    field0 = rng.standard_normal(nm + 10) + 1j * rng.standard_normal(nm + 10)
+    beta0 = rng.standard_normal(nm) + 1j * rng.standard_normal(nm)
+
+    ref_field, ref_beta = field0.copy(), beta0.copy()
+    a11, ia12, a22 = coef
+    for j in (k, k + shift):
+        am = ref_field[j:j + nm].copy()
+        ref_field[j:j + nm] = a11 * am + ia12 * ref_beta
+        ref_beta = ia12 * am + a22 * ref_beta
+
+    field, beta = field0.copy(), beta0.copy()
+    out = beta if in_place else np.full(nm, np.nan + 0j)
+    timedomain._stepper(coef, field, shift)(k, beta, out)
+    assert np.array_equal(out, ref_beta)
+    assert np.array_equal(field, ref_field)
+    covered = np.zeros(field.size, dtype=bool)
+    covered[min(k, k + shift):min(k, k + shift) + nm + 1] = True
+    assert np.array_equal(field[~covered], field0[~covered])
+    assert not np.array_equal(field[covered], field0[covered])
