@@ -204,10 +204,6 @@ def _coupling_halfstep(medium: MediumProfile, grid: GridSpec, sign: float):
     return a11.astype(complex), sign * 1j * a12, a22.astype(complex)
 
 
-def _norm2(x):
-    return float(np.vdot(x, x).real)
-
-
 def _stepper(coef, field, shift):
     """Step kernel over the co-moving buffer field, with the half-step
     coefficients coef and three scratch rows bound once per pass.
@@ -220,17 +216,17 @@ def _stepper(coef, field, shift):
     a11, ia12, a22 = coef
     nm = a11.size
     s1, s2, s3 = (np.empty(nm, dtype=complex) for _ in range(3))
-    mul, add = np.multiply, np.add
+    mul, add = np.multiply, np.add  # out is their third argument: the keyword costs more
 
     def step(k, beta, out):
         for j in (k, k + shift):
             am = field[j:j + nm]
-            mul(a11, am, out=s1)
-            mul(ia12, beta, out=s2)
-            mul(ia12, am, out=s3)
-            mul(a22, beta, out=out)  # beta is read for the last time
-            add(s1, s2, out=am)
-            add(s3, out, out=out)
+            mul(a11, am, s1)
+            mul(ia12, beta, s2)
+            mul(ia12, am, s3)
+            mul(a22, beta, out)  # beta is read for the last time
+            add(s1, s2, am)
+            add(s3, out, out)
             beta = out
 
     return step
@@ -273,21 +269,23 @@ def integrate_forward(pulse: PulseSpec, medium: MediumProfile, grid: GridSpec | 
     peak_beta = 0.0
     book_dev = 0.0
     k = ms + grid.i_med0  # start of the medium window at step n - 1
+    vdot = np.vdot  # squared norms below are float(vdot(x, x).real)
     for n in range(1, ms + 1):
         covered = field[k - 1:k + nm]  # a view: both windows of this step
-        before = _norm2(covered)
+        before = float(vdot(covered, covered).real)
         beta = beta_rows[n]
         step(k, beta_rows[n - 1], beta)
         k -= 1
-        na += dz * (_norm2(covered) - before)
+        na += dz * (float(vdot(covered, covered).real) - before)
 
         t = t_start + n * dt
-        nb_prev, nb = nb, dz * _norm2(beta)
+        nb_prev, nb = nb, dz * float(vdot(beta, beta).real)
         scat += dt * 0.5 * (nb_prev + nb)  # Gamma = 1
         if n % snap_every == 0:
             snaps.append(field[ms - n:ms - n + nc].copy())
-        book_dev = max(book_dev, abs(na + nb + scat - 1.0))
-        peak_beta = max(peak_beta, nb)
+        dev = abs(na + nb + scat - 1.0)
+        book_dev = dev if dev > book_dev else book_dev  # max(), without the call
+        peak_beta = nb if nb > peak_beta else peak_beta
         if t >= t_min_end and nb <= RESIDUAL_TOL * peak_beta:
             break
     else:
@@ -296,7 +294,7 @@ def integrate_forward(pulse: PulseSpec, medium: MediumProfile, grid: GridSpec | 
     final_alpha = field[ms - n:ms - n + nc]
     if n % snap_every:
         snaps.append(final_alpha.copy())
-    p_t = dz * _norm2(final_alpha) + nb  # exact, and >= 0 in opaque media
+    p_t = dz * float(vdot(final_alpha, final_alpha).real) + nb  # exact, and >= 0 in opaque media
     return FieldHistory(
         grid=grid,
         direction="forward",
