@@ -269,7 +269,7 @@ def integrate_forward(pulse: PulseSpec, medium: MediumProfile, grid: GridSpec | 
     peak_beta = 0.0
     book_dev = 0.0
     k = ms + grid.i_med0  # start of the medium window at step n - 1
-    vdot = np.vdot  # squared norms below are float(vdot(x, x).real)
+    vdot = np.vdot  # a local name: three calls a step
     for n in range(1, ms + 1):
         covered = field[k - 1:k + nm]  # a view: both windows of this step
         before = float(vdot(covered, covered).real)
