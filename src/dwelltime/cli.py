@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import io
 import math
 import sys
@@ -136,10 +137,9 @@ def _load_columns(path, what):
     if not any(line.split("#", 1)[0].split() for line in text.splitlines()):
         raise ConfigError(f"{what} file {path} holds no data")
     try:
-        data = np.loadtxt(io.StringIO(text), ndmin=2)
+        return np.loadtxt(io.StringIO(text), ndmin=2)
     except ValueError as exc:
         raise ConfigError(f"malformed {what} file {path}: {exc}") from exc
-    return data
 
 
 def _build_pulse(cp, gamma):
@@ -210,10 +210,8 @@ def run_scenario(scenario: Scenario):
     if scenario.engine in ("spectral", "both"):
         reports.append(spectral.delay_report(scenario.pulse, scenario.medium))
     if scenario.engine in ("timedomain", "both"):
-        grid = None
-        if scenario.cells_per_medium is not None:
-            grid = timedomain.GridSpec.build(scenario.pulse, scenario.medium,
-                                             cells_per_medium=scenario.cells_per_medium)
+        grid = None if scenario.cells_per_medium is None else timedomain.GridSpec.build(
+            scenario.pulse, scenario.medium, cells_per_medium=scenario.cells_per_medium)
         reports.append(timedomain.delay_report_td(scenario.pulse, scenario.medium, grid))
     return reports
 
@@ -233,7 +231,7 @@ def write_csv(out_path, comments, header, rows):
         buf.write(f"# {line}\n")
     buf.write(",".join(header) + "\n")
     for row in rows:
-        buf.write(",".join(_fmt(v) for v in row) + "\n")
+        buf.write(",".join(map(_fmt, row)) + "\n")
     text = buf.getvalue()
     if out_path is None:
         sys.stdout.write(text)
@@ -295,14 +293,10 @@ def _worker_count():
 def _sweep_scenario(scenario: Scenario, sweep: SweepSpec, value):
     """Scenario at one sweep point; value is in config units."""
     gamma = scenario.atom.gamma
-    if sweep.axis == "od0":
+    if sweep.axis in ("od0", "od_eff"):
         if scenario.medium.g0 is None:
-            raise ConfigError("od0 sweep needs a uniform medium, not a profile file")
-        return replace(scenario, medium=make_uniform_medium(value, scenario.medium.length))
-    if sweep.axis == "od_eff":
-        if scenario.medium.g0 is None:
-            raise ConfigError("od_eff sweep needs a uniform medium, not a profile file")
-        od0 = spectral.invert_od_eff(scenario.pulse, value)
+            raise ConfigError(f"{sweep.axis} sweep needs a uniform medium, not a profile file")
+        od0 = value if sweep.axis == "od0" else spectral.invert_od_eff(scenario.pulse, value)
         return replace(scenario, medium=make_uniform_medium(od0, scenario.medium.length))
     if sweep.axis == "detuning":
         p = scenario.pulse
@@ -315,14 +309,34 @@ def _sweep_scenario(scenario: Scenario, sweep: SweepSpec, value):
     return replace(scenario, pulse=replace(scenario.pulse, sigma=value * gamma))
 
 
+def _sweep_reports(scenario: Scenario, sweep: SweepSpec, values):
+    """Each point's run_scenario reports. An od0 or od_eff sweep over a uniform medium takes
+    its depths from one array inversion and its spectral reports from one pass
+    (spectral._core_pass), each with the point's bits, and a time-domain run per point; where
+    the array calls raise, the points run one by one, so the error is the first failing point's."""
+    if sweep.axis in ("od0", "od_eff") and scenario.medium.g0 is not None and scenario.engine != "timedomain":
+        try:
+            od0 = values if sweep.axis == "od0" else spectral.invert_od_eff(scenario.pulse, np.array(values)).tolist()
+            points = [replace(scenario, medium=make_uniform_medium(d, scenario.medium.length)) for d in od0]
+            depths = np.array([p.medium.od0 for p in points])
+            if not np.isfinite(depths).all():  # delay_report refuses these; the loop gives its error
+                raise InvalidParameterError("od0 past float range")
+            reports = spectral._core_pass(scenario.pulse, depths)
+        except DwellTimeError:
+            pass
+        else:
+            return [[rep] + (run_scenario(replace(p, engine="timedomain")) if p.engine == "both" else [])
+                    for p, (rep, _) in zip(points, reports)]
+    return [run_scenario(_sweep_scenario(scenario, sweep, v)) for v in values]
+
+
 def cmd_sweep(args):
     cp = load_config(args.config)
     scenario = scenario_from_config(cp)
     sweep = sweep_from_config(cp)
-    rows = []
-    for value in sweep.values():
-        for rep in run_scenario(_sweep_scenario(scenario, sweep, float(value))):
-            rows.append([float(value)] + [rep.as_dict()[k] for k in REPORT_FIELDS])
+    values = sweep.values().tolist()
+    rows = [[value] + [rep.as_dict()[k] for k in REPORT_FIELDS]
+            for value, reports in zip(values, _sweep_reports(scenario, sweep, values)) for rep in reports]
     comments = list(REPORT_COMMENTS) + [
         _scenario_comment(scenario),
         f"sweep: axis={sweep.axis} range=[{sweep.start:.6g}, {sweep.stop:.6g}]"
@@ -356,26 +370,23 @@ def _fig2_dataset():
 
 
 def _fig3_dataset(which):
-    d_grid = np.linspace(-3.0, 3.0, 241)
-    if which == "a":
-        header = ["detuning"] + [f"t_g_od0_{od:g}" for od in FIG3_ODS]
-        rows = [[float(d), *spectral.group_delay(float(d), np.array(FIG3_ODS))] for d in d_grid]
+    d_grid, ods = np.linspace(-3.0, 3.0, 241), np.array(FIG3_ODS)
+    if which == "a":  # one elementwise evaluation over the (detuning, od0) grid
+        column, values = "t_g", spectral.group_delay(d_grid[:, None], ods)
         comments = [
             "narrow-band group delay t_g vs detuning, one column per resonant depth",
             "t_g = d(phase)/d(omega) of the medium transmission at the pulse detuning",
         ]
     else:
-        header = ["detuning"] + [f"tau_S_od0_{od:g}" for od in FIG3_ODS]
-        rows = [[float(d)] + [r.tau_S for r, _ in spectral._core_pass(NarrowBandPulse(float(d)), FIG3_ODS)]
-                for d in d_grid]
+        column, values = "tau_S", spectral._scattered_delay_point(d_grid[:, None], ods)  # _core_pass's tau_S
         comments = [
             "scattered-post-selected dwell time tau_S vs detuning, narrow-band limit",
             "tau_S = (1 - t_g/(exp(x) - 1))/gamma with x the absorbed depth OD0/(1+4 detuning^2)",
             "begins at the Wigner delay 2/gamma as OD0 -> 0",
         ]
-    comments.append(f"resonant depths OD0: {FIG3_ODS}")
-    comments.append("times in units of 1/gamma, detuning in units of gamma")
-    return comments, header, rows
+    comments += [f"resonant depths OD0: {FIG3_ODS}", "times in units of 1/gamma, detuning in units of gamma"]
+    header = ["detuning"] + [f"{column}_od0_{od:g}" for od in FIG3_ODS]
+    return comments, header, [[d, *row] for d, row in zip(d_grid.tolist(), values.tolist())]
 
 
 def _fig4_dataset():
@@ -463,6 +474,7 @@ def cmd_validate(args):
     return 0
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="dwelltime",

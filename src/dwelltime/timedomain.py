@@ -245,6 +245,14 @@ def _initial_field(pulse: PulseSpec, grid: GridSpec):
     return alpha
 
 
+def _vdot(a, b):
+    """np.vdot(a, b) of contiguous complex arrays by np.einsum, off BLAS: its vdot of over 10000
+    elements runs on a thread pool, slow to wake after a pause, and sums in a per-thread order."""
+    a, b = a.reshape(-1), b.reshape(-1)
+    return complex(np.einsum("i,i->", a.view(float), b.view(float)),  # re, im interleaved
+                   np.einsum("i,i->", a.real, b.imag) - np.einsum("i,i->", a.imag, b.real))
+
+
 def integrate_forward(pulse: PulseSpec, medium: MediumProfile, grid: GridSpec | None = None):
     """Propagate the initial pulse through the medium under no-jump evolution."""
     if grid is None:
@@ -294,7 +302,7 @@ def integrate_forward(pulse: PulseSpec, medium: MediumProfile, grid: GridSpec | 
     final_alpha = field[ms - n:ms - n + nc]
     if n % snap_every:
         snaps.append(final_alpha.copy())
-    p_t = dz * float(vdot(final_alpha, final_alpha).real) + nb  # exact, and >= 0 in opaque media
+    p_t = dz * _vdot(final_alpha, final_alpha).real + nb  # exact, and >= 0 in opaque media
     return FieldHistory(
         grid=grid,
         direction="forward",
@@ -332,7 +340,7 @@ def integrate_backward(forward: FieldHistory, medium: MediumProfile):
 
     def record_overlap(n, i_snap):
         alpha = field[ms - n:ms - n + nc]
-        ov = np.vdot(alpha, forward.snap_alpha[i_snap]) + np.vdot(beta_rows[n], forward.beta[n])
+        ov = _vdot(alpha, forward.snap_alpha[i_snap]) + np.vdot(beta_rows[n], forward.beta[n])
         overlaps[i_snap] = dz * ov
 
     # at the forward snapshots: the final step, and each multiple of snap_every
@@ -446,7 +454,7 @@ def tau_S_oracle(forward: FieldHistory, medium: MediumProfile):
     nm = grid.n_med
     f = forward.beta  # (n_rec, nm)
     n_rec = f.shape[0]
-    f2 = float(np.vdot(f, f).real)
+    f2 = _vdot(f, f).real
     p_s_td = dt * dz * f2
     if p_s_td <= 0.0:
         raise InvalidParameterError("nothing scatters; conditional time undefined")

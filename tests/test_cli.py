@@ -479,6 +479,103 @@ count = 2
         assert f"at detuning {float(detuning):.6g}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("engine", ["spectral", "both"])
+    @pytest.mark.parametrize("axis, start, stop", [("od0", 0.0, 6.0), ("od_eff", 0.0, 4.0)])
+    def test_depth_sweep_takes_one_pass(self, tmp_path, monkeypatch, axis, start, stop, engine):
+        """An od0 or od_eff sweep takes one array inversion (od_eff only) and one quadrature
+        pass for its spectral reports, and each row holds the bits of the per-point route: a
+        scalar invert_od_eff, then delay_report; time-domain rows follow their point's."""
+        pulse, length, cells = GaussianPulse(0.8, 0.3), 1.3, 50
+        count = 5 if engine == "spectral" else 2
+        calls = {"invert_od_eff": 0, "_core_pass": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(spectral, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(spectral, name, counted)
+        rows = []  # as cmd_sweep hands them to write_csv
+        monkeypatch.setattr(cli, "write_csv", lambda out_path, comments, header, r: rows.extend(r))
+        cfg = write(tmp_path, f"""
+[pulse]
+kind = gaussian
+sigma = {pulse.sigma}
+detuning = {pulse.detuning}
+
+[medium]
+od0 = 1.0
+length = {length}
+
+[engine]
+kind = {engine}
+
+[grid]
+cells_per_medium = {cells}
+
+[sweep]
+axis = {axis}
+start = {start}
+stop = {stop}
+count = {count}
+""")
+        assert cli.main(["sweep", cfg]) == 0
+        assert calls == {"invert_od_eff": int(axis == "od_eff"), "_core_pass": 1}
+        monkeypatch.undo()
+        expected = []
+        for value in np.linspace(start, stop, count).tolist():
+            m = make_uniform_medium(value if axis == "od0" else spectral.invert_od_eff(pulse, value), length)
+            reports = [spectral.delay_report(pulse, m)]
+            if engine == "both":
+                grid = timedomain.GridSpec.build(pulse, m, cells_per_medium=cells)
+                reports.append(timedomain.delay_report_td(pulse, m, grid))
+            expected += [[value] + [rep.as_dict()[k] for k in cli.REPORT_FIELDS] for rep in reports]
+        hexed = lambda rows: [[v if isinstance(v, str) else float.hex(float(v)) for v in r] for r in rows]
+        assert hexed(rows) == hexed(expected)
+        methods = ["analytic", "timedomain"] if engine == "both" else ["analytic"]
+        assert [r[-1] for r in rows] == methods * count
+
+    @pytest.mark.parametrize("axis, start, stop, count, length, failing", [
+        ("od0", 1.0, 1e6, 7, 1.0, 1e5),  # P_T underflows from the sixth point on
+        # the first depth is past float range, and the array inversion fails first on the last target
+        ("od_eff", 0.5, 800.0, 2, 1e-310, 0.5),
+        ("od0", 0.5, 2.0, 2, 1e-310, 0.5),  # every depth is past float range
+    ])
+    def test_failing_depth_sweep_gives_the_loops_error(self, tmp_path, capsys, axis, start, stop, count, length,
+                                                       failing):
+        """A sweep whose array pass raises exits as the point-by-point loop does, with the
+        first failing point's message, and writes no CSV."""
+        out = tmp_path / "sweep.csv"
+        cfg = write(tmp_path, f"""
+[pulse]
+kind = gaussian
+sigma = 3.0
+
+[medium]
+od0 = 1.0
+length = {length!r}
+
+[output]
+path = {out}
+
+[sweep]
+axis = {axis}
+start = {start!r}
+stop = {stop!r}
+count = {count}
+spacing = log
+""")
+        pulse = GaussianPulse(3.0, 0.0)
+        for value in np.geomspace(start, stop, count).tolist():
+            try:
+                od0 = value if axis == "od0" else spectral.invert_od_eff(pulse, value)
+                spectral.delay_report(pulse, make_uniform_medium(od0, length))
+            except InvalidParameterError as exc:
+                expected = f"precondition violation: {exc}\n"
+                break
+        assert value == pytest.approx(failing)
+        assert cli.main(["sweep", cfg]) == 4
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+
     def test_od0_axis_over_profile_writes_nothing(self, tmp_path, capsys):
         z = np.linspace(0, 1, 51)
         prof = tmp_path / "prof.txt"
@@ -533,6 +630,19 @@ class TestFigureCommand:
         mid = rows[120]  # detuning = 0 row: t_g = -od0 per column
         for col, od0 in zip(mid[1:], cli.FIG3_ODS):
             assert float(col) == pytest.approx(-od0, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["fig3a", "fig3b"])
+    def test_fig3_rows_keep_the_per_detuning_bits(self, name):
+        """One array evaluation over the detuning grid gives each row the bits of the calls
+        per detuning: group_delay, or the narrow-band tau_S of _core_pass."""
+        _, _, rows = cli.FIGURES[name]()
+        ods = np.array(cli.FIG3_ODS)
+        for row in rows:
+            d = row[0]
+            expected = (spectral.group_delay(d, ods).tolist() if name == "fig3a" else
+                        [r.tau_S for r, _ in spectral._core_pass(NarrowBandPulse(d), cli.FIG3_ODS)])
+            assert [float.hex(v) for v in row] == [float.hex(v) for v in [d, *expected]]
+        assert [row[0] for row in rows] == np.linspace(-3.0, 3.0, 241).tolist()
 
     @pytest.mark.parametrize("name", ["figF1", "figG1"])
     def test_asymptotic_figure_takes_one_core_pass(self, monkeypatch, name):

@@ -7,6 +7,9 @@ overlap), and the center-of-mass delay identities.
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -328,34 +331,32 @@ def test_ramped_medium_numbers_pinned(run_ramped):
 
 # float.hex of every reported time-domain number, and SHA-256 of the beta
 # histories, for the default run and the ramped medium: any change to the
-# arithmetic of a step, however small, moves these. Taken with two OpenBLAS
-# threads: np.vdot over more than 10000 elements (P_T's final field, the
-# overlaps, the oracle's norm of the history) sums in one part per thread, so
-# another thread count moves p_t, tau_S_oracle and overlap in the last bits
+# arithmetic of a step, however small, moves these. The sums over whole fields
+# and histories (P_T's final field, the overlaps, the oracle's norm of the
+# history) are taken off BLAS, so the pins hold at any BLAS thread count
 BITS = {
     "default": dict(
-        p_t="0x1.3e8fa23f33637p-2", tau_T_td="-0x1.3433cb5bb85d7p-2",
+        p_t="0x1.3e8fa23f3363ap-2", tau_T_td="-0x1.3433cb5bb85d6p-2",
         tau_avg_td="0x1.60b83ed9ebdc6p-1", bookkeeping_dev="0x1.ff30b1f000000p-22",
-        tau_S_oracle="0x1.22cb7ad8b0ae2p+0",
+        tau_S_oracle="0x1.22cb7ad8b0af0p+0",
         com_delays=("-0x1.3433268041b37p-2", "0x1.22cb2b1fcbf01p+0"),
-        overlap=("0x1.1d928d0c24492p-1", "0x0.0p+0"),
+        overlap=("0x1.1d928d0c2448cp-1", "0x0.0p+0"),
         beta_fwd="6233279eb0bb1f3c2a6c0d00c1d0419cf6067dd89b232181c731d5f19d71675d",
-        beta_bwd="5dcc8dd9f204c74dfbf533c7e29d687e47d9e38f2aaeb9a1e1f17c2af39c98fb"),
+        beta_bwd="01361553e0ad768ae44c49e4d0584b14f56b99b8c36bdfb42ad40201728e96ec"),
     "ramped": dict(
-        p_t="0x1.553729b416cb1p-2", tau_T_td="0x1.3385404712034p-4",
+        p_t="0x1.553729b416cafp-2", tau_T_td="0x1.3385404712034p-4",
         tau_avg_td="0x1.5564eb9564163p-1", bookkeeping_dev="0x1.2a6d1b4080000p-18",
-        tau_S_oracle="0x1.eccbe82e9b090p-1",
+        tau_S_oracle="0x1.eccbe82e9b09cp-1",
         com_delays=("0x1.33979d0e6ffd4p-4", "0x1.ecc738e574780p-1"),
-        overlap=("0x1.278d6375d09e2p-1", "-0x1.4271b3799999ap-58"),
+        overlap=("0x1.278d6375d09e1p-1", "-0x1.938bff94ccccdp-57"),
         beta_fwd="ef8b2b54f8702201c5da0ad59bd27e5382a2615940266c5f57329046014b7527",
         beta_bwd="2eadcede589d6adeac5b5250436269678d65697c53be85a13549388a68e18161"),
 }
 
 
-@pytest.mark.parametrize("case, medium", [("default", MEDIUM), ("ramped", RAMP_MEDIUM)])
-def test_outputs_keep_their_bits(request, case, medium):
-    fwd, bwd = request.getfixturevalue(f"run_{case}")
-    got = dict(
+def _outputs(fwd, bwd, medium):
+    """The BITS entries of one forward and backward run."""
+    return dict(
         p_t=fwd.p_t.hex(), tau_T_td=timedomain.tau_T_td(fwd, bwd).hex(),
         tau_avg_td=timedomain.tau_avg_td(fwd).hex(), bookkeeping_dev=fwd.bookkeeping_dev.hex(),
         tau_S_oracle=timedomain.tau_S_oracle(fwd, medium).hex(),
@@ -363,7 +364,30 @@ def test_outputs_keep_their_bits(request, case, medium):
         overlap=(bwd.overlap[-1].real.hex(), bwd.overlap[-1].imag.hex()),
         beta_fwd=hashlib.sha256(fwd.beta.tobytes()).hexdigest(),
         beta_bwd=hashlib.sha256(bwd.beta.tobytes()).hexdigest())
-    assert got == BITS[case]
+
+
+@pytest.mark.parametrize("case, medium", [("default", MEDIUM), ("ramped", RAMP_MEDIUM)])
+def test_outputs_keep_their_bits(request, case, medium):
+    fwd, bwd = request.getfixturevalue(f"run_{case}")
+    assert _outputs(fwd, bwd, medium) == BITS[case]
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count():
+    """The ramped run in fresh processes with one and with two OpenBLAS threads gives
+    the same bits: no sum over a whole field or history goes through BLAS's pool."""
+    script = (f"import sys; sys.path.insert(0, {os.path.dirname(__file__)!r}); "
+              "import test_timedomain as t; from dwelltime import timedomain; "
+              "grid = timedomain.GridSpec.build(t.RAMP_PULSE, t.RAMP_MEDIUM, cells_per_medium=80); "
+              "fwd = timedomain.integrate_forward(t.RAMP_PULSE, t.RAMP_MEDIUM, grid); "
+              "print(t._outputs(fwd, timedomain.integrate_backward(fwd, t.RAMP_MEDIUM), t.RAMP_MEDIUM))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(timedomain.__file__)))
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        outs.append(subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                   text=True, check=True, timeout=120).stdout)
+    assert outs[0] == outs[1] == f"{BITS['ramped']}\n"
 
 
 @pytest.mark.parametrize("in_place", [False, True], ids=["into_out", "into_beta"])
