@@ -318,10 +318,7 @@ def _sweep_reports(scenario: Scenario, sweep: SweepSpec, values):
         try:
             od0 = values if sweep.axis == "od0" else spectral.invert_od_eff(scenario.pulse, np.array(values)).tolist()
             points = [replace(scenario, medium=make_uniform_medium(d, scenario.medium.length)) for d in od0]
-            depths = np.array([p.medium.od0 for p in points])
-            if not np.isfinite(depths).all():  # delay_report refuses these; the loop gives its error
-                raise InvalidParameterError("od0 past float range")
-            reports = spectral._core_pass(scenario.pulse, depths)
+            reports = spectral._core_pass(scenario.pulse, np.array([p.medium.od0 for p in points]))
         except DwellTimeError:
             pass
         else:

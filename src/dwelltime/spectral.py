@@ -92,17 +92,21 @@ def _spectral_integrals(pulse: PulseSpec, rows):
     _converge's 1e-9; only passes that carry P_T widen it. Every frequency integral is taken here."""
     if isinstance(pulse, NarrowBandPulse):
         return _level(pulse, rows, 0), 0
-    vals, panels = _converge(lambda n, cols: _level(pulse, rows, n)[:, None])
+    vals, panels = _converge(lambda n, cols, prev: _level(pulse, rows, n, prev=prev)[:, None])
     return vals[:, 0], int(panels[0])
 
 
-def _level(pulse: PulseSpec, rows, n, od_eff=0.0, depths=None):
+def _level(pulse: PulseSpec, rows, n, od_eff=0.0, depths=None, prev=None):
     """The row integrals on level n's nodes (_nodes) for a -ln P_T of at most od_eff, the sum of
-    its blocks' (_integrate_block); given a 1-D array of depths, with a trailing depth axis."""
+    its blocks' (_integrate_block); given a 1-D array of depths, with a trailing depth axis.
+    Given prev, level n / 2's integrals, a Gaussian samples only level n's new midpoints and
+    returns prev / 2 + their sum, level n's trapezoid; a table ignores prev."""
     if isinstance(pulse, NarrowBandPulse):
         return np.asarray(rows(pulse.detuning, 1.0))
-    return _sum_blocks(_integrate_block(integrate, rows, depths, w, pulse.spectral_density(w))
-                       for w, integrate in _nodes(pulse, n, od_eff))
+    nested = prev is not None and isinstance(pulse, GaussianPulse)
+    total = _sum_blocks(_integrate_block(integrate, rows, depths, w, pulse.spectral_density(w))
+                        for w, integrate in _nodes(pulse, n, od_eff, nested))
+    return 0.5 * np.reshape(prev, total.shape) + total if nested else total  # prev may hold a column axis
 
 
 def _integrate_block(integrate, rows, depths, x, dens):
@@ -117,14 +121,16 @@ def _integrate_block(integrate, rows, depths, x, dens):
                            for i in range(0, depths.size, step)], axis=-1)
 
 
-def _nodes(pulse: PulseSpec, n, od_eff=0.0):
+def _nodes(pulse: PulseSpec, n, od_eff=0.0, midpoints=False):
     """Level n's blocks (w, integrate) of about _BLOCK // 4 nodes each: frequency nodes w,
     and integrate(rows), the rule that sums rows sampled at w along their last axis into
     the block's integrals. The level's integrals are the blocks' sum (_sum_blocks).
 
     A Gaussian: the trapezoid on n uniform panels over its window for a -ln P_T of at most
     od_eff, _BLOCK // 4 panels a block; each block is its own trapezoid, and shares its
-    end node with the next. A table: two-point Gauss-Legendre on each interval between its
+    end node with the next; with midpoints, only the n / 2 odd nodes that level n / 2 lacks,
+    as the whole grid's floats, each block's integral h times its sum. A table, whose nodes
+    do not nest, ignores midpoints: two-point Gauss-Legendre on each interval between its
     own samples and the n + 1 uniform points over its span, _BLOCK // 8 intervals a block.
     Its density, |linear interpolant|^2, is quadratic on each such interval and 0 off the
     span, so only the rows' other factors limit the rule. Its nodes number at most
@@ -132,6 +138,9 @@ def _nodes(pulse: PulseSpec, n, od_eff=0.0):
     """
     if isinstance(pulse, GaussianPulse):
         w, h = _panel_grid(*_spectral_window(pulse, od_eff), n)
+        if midpoints:
+            w, integrate = w[1::2], lambda rows: h * rows.sum(axis=-1)
+            return ((w[i:i + _BLOCK // 4], integrate) for i in range(0, n // 2, _BLOCK // 4))
         return ((w[i:i + _BLOCK // 4 + 1], partial(_trapezoid, h)) for i in range(0, n, _BLOCK // 4))
     if 2 * n > N_CAP:
         raise NumericError(f"quadrature not converged at {N_CAP} panels (tol={DEFAULT_TOL})")
@@ -157,15 +166,16 @@ def _sum_blocks(integrals):
 
 
 def _converge(level):
-    """Double n from N_START until no row of level(n, cols), the rows x columns integrals
+    """Double n from N_START until no row of level(n, cols, prev), the rows x columns integrals
     on n panels at columns cols (first slice(None), then the open ones), changes by more
     than DEFAULT_TOL * max(|value|, 1); each column stops at its own first converged
-    doubling. Returns (values, panels): the rows x columns values, each column's count."""
-    prev = level(N_START, slice(None))
+    doubling; prev is level n / 2's values at cols, None on the first call. Returns (values,
+    panels): the rows x columns values, each column's count."""
+    prev = level(N_START, slice(None), None)
     values, panels, cols = np.empty_like(prev), np.empty(prev.shape[1], dtype=int), np.arange(prev.shape[1])
     n = 2 * N_START
     while n <= N_CAP:
-        vals = level(n, cols)
+        vals = level(n, cols, prev)
         done = (np.abs(vals - prev) <= DEFAULT_TOL * np.maximum(np.abs(vals), 1.0)).all(axis=0)
         values[:, cols[done]], panels[cols[done]] = vals[:, done], n
         if done.all():
@@ -223,7 +233,8 @@ def _core_rows(od0):
 
 def _core_pass(pulse: PulseSpec, depths):
     """The one pass over a depth axis: a (DelayReport, panel count) pair per od0 of the 1-D
-    array depths (a MediumProfile: its od0) as one-depth calls give, or their first error.
+    array depths (a MediumProfile: its od0) as one-depth calls give, or their first error;
+    InvalidParameterError, before any sampling, for a depth that is not finite.
 
     Narrow band: closed forms at the carrier (0 panels). Finite bandwidth: the four
     _core_rows of all depths in one blocked _converge (_level), with tau_S from the outcome
@@ -231,6 +242,8 @@ def _core_pass(pulse: PulseSpec, depths):
     window re-runs on it. The conditional times are NaN at od0 = 0.
     """
     depths = np.asarray(getattr(depths, "od0", depths), dtype=float).reshape(-1)
+    if not np.isfinite(depths).all():
+        raise InvalidParameterError(f"od0 = {depths[~np.isfinite(depths)][0]:.6g} is not a finite depth")
     if isinstance(pulse, NarrowBandPulse):
         line, t_w = float(lorentzian(pulse.detuning)), wigner_delay(pulse.detuning)
         t_g, t_s = group_delay(pulse.detuning, depths), _scattered_delay_point(pulse.detuning, depths)
@@ -241,11 +254,11 @@ def _core_pass(pulse: PulseSpec, depths):
 
 
 def _core_block(pulse: PulseSpec, od0):
-    def level(depths, od_eff=0.0):  # _converge's level(n, cols): the _core_rows integrals at depths[cols]
+    def level(depths, od_eff=0.0):  # _converge's level(n, cols, prev): _core_rows integrals at depths[cols]
         if depths.size == 1:  # one depth is sampled without the depth axis, as its one column
             rows = _core_rows(depths[0])
-            return lambda n, cols: _level(pulse, rows, n, od_eff)[:, None]
-        return lambda n, cols: _level(pulse, _core_rows, n, od_eff, depths[cols])
+            return lambda n, cols, prev: _level(pulse, rows, n, od_eff, prev=prev)[:, None]
+        return lambda n, cols, prev: _level(pulse, _core_rows, n, od_eff, depths[cols], prev)
 
     vals, n = _converge(level(od0))
     for j, (norm, pt_raw) in enumerate(vals[:2].T.tolist()):
@@ -383,7 +396,8 @@ def _invert_block(pulse: PulseSpec, targets):
 
 
 def _invert_window(pulse: PulseSpec, targets):
-    """invert_od_eff of nonzero targets in [0, OD_EFF_MAX] that share a window."""
+    """invert_od_eff of nonzero targets in [0, OD_EFF_MAX] that share a window. A Gaussian's
+    levels nest as _level's do: past N_START each holds its midpoint blocks and nested norm."""
     levels = {}  # panel count -> the od0-independent parts: its blocks' (rule, line, density), the norm
 
     def transmitted(d):  # (line, dens) -> the rows trans and trans * line at a (k, 1) column d of od0
@@ -398,15 +412,19 @@ def _invert_window(pulse: PulseSpec, targets):
         # -ln P_T at each od0 (inf, above every target, for a P_T below float range) and its slope
         slopes = {}  # panel count -> the integrals of trans and trans * line at each od0
 
-        def level(n, cols):
+        def level(n, cols, prev):  # nested as _level's, on levels[n // 2] and slopes[n // 2]
+            nested = prev is not None and isinstance(pulse, GaussianPulse)
             if n not in levels:
                 blocks = [(integrate, lorentzian(w), pulse.spectral_density(w))
-                          for w, integrate in _nodes(pulse, n, targets[0])]
-                levels[n] = blocks, _sum_blocks(integrate(dens) for integrate, _, dens in blocks)
+                          for w, integrate in _nodes(pulse, n, targets[0], nested)]
+                norm = _sum_blocks(integrate(dens) for integrate, _, dens in blocks)
+                levels[n] = blocks, 0.5 * levels[n // 2][1] + norm if nested else norm
             blocks, norm = levels[n]
             idx, raw = np.arange(od0.size)[cols], slopes.setdefault(n, np.empty((2, od0.size)))
             raw[:, idx] = _sum_blocks(_integrate_block(integrate, transmitted, od0[idx], line, dens)
                                       for integrate, line, dens in blocks)
+            if nested:
+                raw[:, idx] += 0.5 * slopes[n // 2][:, idx]
             return np.array([np.full(idx.size, norm), raw[0, idx]])
 
         (norm, pt_raw), n = _converge(level)

@@ -23,13 +23,13 @@ def fine_table_rule():
     for tables whose sample spacing is small next to the line width."""
     x, wts = np.polynomial.legendre.leggauss(32)
 
-    def nodes(pulse, n, od_eff=0.0):
+    def nodes(pulse, n, od_eff=0.0, midpoints=False):
         a, b = pulse.omegas[:-1, None], pulse.omegas[1:, None]
         weights = (0.5 * (b - a) * wts).ravel()
         return [((0.5 * (a + b) + 0.5 * (b - a) * x).ravel(), lambda rows: (rows * weights).sum(axis=-1))]
 
     def one_level(level):
-        vals = level(spectral.N_START, slice(None))
+        vals = level(spectral.N_START, slice(None), None)
         return vals, np.full(vals.shape[1], spectral.N_START)
 
     @contextlib.contextmanager

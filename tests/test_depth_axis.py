@@ -92,6 +92,18 @@ def test_core_pass_raises_the_first_failing_depths_error(pulse, depths):
     assert str(info.value) == want[1]
 
 
+@pytest.mark.parametrize("pulse", [GaussianPulse(1.0), report_pulse("chirped_table"), NarrowBandPulse(0.7)],
+                         ids=["gaussian", "table", "narrowband"])
+def test_core_pass_refuses_a_non_finite_depth(monkeypatch, pulse):
+    # the Gaussian and table passes warned "invalid value encountered in multiply" and the
+    # narrow-band one refused P_T = 0; no pass samples the spectrum before the check
+    monkeypatch.setattr(spectral, "_level", lambda *args, **kwargs: pytest.fail("sampled"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match="^od0 = inf is not a finite depth$"):
+            spectral._core_pass(pulse, np.array([np.inf, 1.0]))
+
+
 # 0, targets of the shared window (od_eff up to 88) and of their own windows (100-700)
 TARGETS = np.array([0.0, 0.01, 0.05, 0.3, 1.0, 3.0, 10.0, 100.0, 300.0, 700.0])
 INVERSION_PULSES = {

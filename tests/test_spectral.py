@@ -8,6 +8,7 @@ import ast
 import contextlib
 import math
 import re
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -163,15 +164,16 @@ def inversion_pulse(name):
 
 # float.hex of every finite delay_report field and of scattered_delay, off the
 # finite-bandwidth pass (sigma100_detuned's moved by 1 to 8 ulp when the window's
-# 20-linewidth floor went)
+# 20-linewidth floor went, and by 1 to 11 when the Gaussian levels began to nest: od_eff's
+# 11 are -ln of P_T's 2 at P_T = 0.79)
 REPORT_FIELDS = ("P_T", "P_S", "tau_0", "tau_T", "tau_S", "od_eff")
 REPORT_HEX = {
     "chirped_table": (3.0, ["0x1.1dc6934957481p-2", "0x1.711cb65b545c0p-1", "0x1.711cb65b545c0p-1",
                             "0x1.b5f92ad2c58bap-6", "0x1.fab3a42b854bfp-1", "0x1.46b947383f976p+0"],
                       "0x1.fab3a42b854bfp-1"),
-    "sigma100_detuned": (4.0, ["0x1.94a6e5a28b27cp-1", "0x1.ad646975d3611p-3", "0x1.ad646975d3611p-3",
-                               "0x1.a93170e0c08ecp-3", "0x1.bd388cb4588ecp-3", "0x1.e1e39134ab700p-3"],
-                         "0x1.bd388cb4588f1p-3"),
+    "sigma100_detuned": (4.0, ["0x1.94a6e5a28b27ap-1", "0x1.ad646975d3611p-3", "0x1.ad646975d3611p-3",
+                               "0x1.a93170e0c08ecp-3", "0x1.bd388cb4588f0p-3", "0x1.e1e39134ab70bp-3"],
+                         "0x1.bd388cb4588f2p-3"),
 }
 
 
@@ -257,20 +259,23 @@ class TestEffectiveDepth:
         assert spectral.delay_report(p, make_uniform_medium(od0)).od_eff == pytest.approx(708.0, rel=1e-9)
 
     def test_inversion_samples_density_once_per_level(self):
-        # every pass reuses the density of each block of the panel levels it visits;
-        # at sigma 0.02 the 8192-panel level is two blocks
+        # every pass reuses the density of each block of the panel levels it visits, and
+        # each level past N_START samples only its new midpoints, so no node is sampled
+        # twice; sigma 1 stops at 2048 panels, sigma 0.02 at 8192 (levels of 1025, 1024,
+        # 2048 and 4096 new nodes)
         calls = []
 
         class CountedPulse(GaussianPulse):
             def spectral_density(self, w):
-                calls.append((float(w[0]), float(w[-1]), np.size(w)))
+                calls.append(np.array(w))
                 return super().spectral_density(w)
 
-        for sigma, blocks in ((1.0, 3), (0.02, 5)):
+        for sigma, blocks in ((1.0, 2), (0.02, 4)):
             calls.clear()
             spectral.invert_od_eff(CountedPulse(sigma), 5.0)
             assert 1 <= len(calls) <= blocks
-            assert len(set(calls)) == len(calls)
+            nodes = np.concatenate(calls)
+            assert np.unique(nodes).size == nodes.size
 
     @pytest.mark.parametrize("name", sorted(INVERSION_HEX))
     def test_inversion_bits_pinned(self, name):
@@ -345,7 +350,7 @@ def _reference_bisection(pulse, od_eff):
         return np.array([[norm], [pt_raw]])
 
     def f(od0):
-        ((norm,), (pt_raw,)), _ = spectral._converge(lambda n, cols: level(n, od0))
+        ((norm,), (pt_raw,)), _ = spectral._converge(lambda n, cols, prev: level(n, od0))
         return float(-np.log(pt_raw / norm)) if pt_raw > 0.0 else math.inf
 
     lo = target
@@ -520,7 +525,7 @@ def _wide_window_tau_t(pulse, od0):
     """tau_T of the core rows on a window of 60 / sigma about the carrier."""
     rows = spectral._core_rows(od0)
 
-    def level(n, cols):
+    def level(n, cols, prev):
         w, h = spectral._panel_grid(pulse.detuning, 60.0 / pulse.sigma, n)
         return spectral._trapezoid(h, rows(w, pulse.spectral_density(w)))[:, None]
 
@@ -622,15 +627,54 @@ def test_scattered_delay_takes_the_pulse_window(panels, od0):
     assert delay == pytest.approx(report.tau_S, rel=1e-12)
 
 
-@pytest.mark.parametrize("n", [8192, 65536])
+@pytest.mark.parametrize("n", [2048, 8192, 65536])
 def test_gaussian_level_in_blocks_is_the_whole_trapezoid(n):
     # past _BLOCK // 4 panels a Gaussian level is a run of trapezoids that share their
-    # end nodes; their sum is the whole level's trapezoid up to the order of its additions
-    pulse, rows = GaussianPulse(0.02), spectral._core_rows(2.0)
-    assert len(list(spectral._nodes(pulse, n))) == n // (spectral._BLOCK // 4)
+    # end nodes, and a nested level is half the level below plus h times the sum of its
+    # n / 2 midpoints, _BLOCK // 4 a block; each is the whole level's trapezoid up to the
+    # order of its additions, for one depth and along a depth axis
+    pulse = GaussianPulse(0.02)
+    assert len(list(spectral._nodes(pulse, n))) == max(1, n // (spectral._BLOCK // 4))
+    assert len(list(spectral._nodes(pulse, n, midpoints=True))) == max(1, n // 2 // (spectral._BLOCK // 4))
     w, h = spectral._panel_grid(*spectral._spectral_window(pulse), n)
-    whole = spectral._trapezoid(h, rows(w, pulse.spectral_density(w)))
-    np.testing.assert_allclose(spectral._level(pulse, rows, n), whole, rtol=1e-14, atol=0.0)
+    dens = pulse.spectral_density(w)
+    depths = np.array([0.5, 2.0, 30.0])
+    cases = [(spectral._core_rows(2.0), None, spectral._core_rows(2.0)(w, dens)),  # one depth
+             (spectral._core_rows, depths, spectral._core_rows(depths[:, None])(w, dens))]  # a depth axis
+    for rows, axis, samples in cases:
+        whole = spectral._trapezoid(h, samples)
+        level = partial(spectral._level, pulse, rows, depths=axis)
+        np.testing.assert_allclose(level(n), whole, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(level(n, prev=level(n // 2)), whole, rtol=1e-14, atol=0.0)
+
+
+@pytest.fixture
+def sampled(monkeypatch):
+    """Every array of frequency nodes at which a GaussianPulse's density is sampled in the test."""
+    density, nodes = GaussianPulse.spectral_density, []
+
+    def recorded(self, w):
+        nodes.append(np.array(w, dtype=float))
+        return density(self, w)
+
+    monkeypatch.setattr(GaussianPulse, "spectral_density", recorded)
+    return nodes
+
+
+@pytest.mark.parametrize("pulse,integrate,n", [
+    (GaussianPulse(1.0, 0.3), lambda p: spectral.delay_report(p, make_uniform_medium(2.0)), 2048),
+    (GaussianPulse(0.05, 0.7), lambda p: spectral.delay_report(p, make_uniform_medium(2.0)), 4096),
+    (GaussianPulse(0.02, 0.7), lambda p: spectral.delay_report(p, make_uniform_medium(2.0)), 16384),
+    (GaussianPulse(0.02, 0.7), lambda p: spectral.scattered_delay(p, make_uniform_medium(2.0)), 16384),
+    (GaussianPulse(0.05, 0.4), lambda p: cavity.tau_B_direct(cavity.CavityParams(0.5, 1.2), p), 4096),
+], ids=["report_2048", "report_4096", "report_16384", "scattered_delay", "cavity_tau_B"])
+def test_gaussian_pass_samples_each_node_once(sampled, panels, pulse, integrate, n):
+    # a doubling samples only its new midpoints: a pass that stops at n panels samples the
+    # n + 1 nodes of its final level, each once, where whole levels sampled about 2 n
+    integrate(pulse)
+    assert [int(k[0]) for k in panels] == [n]
+    w, _ = spectral._panel_grid(*spectral._spectral_window(pulse), n)
+    assert np.sort(np.concatenate(sampled)).tolist() == w.tolist()
 
 
 def test_quadrature_cap_raises():
