@@ -34,6 +34,7 @@ _NEWTON_STEPS = 30  # Newton passes after which invert_od_eff bisects on -ln P_T
 # above this od_eff, P_T = exp(-od_eff) is subnormal and the inversion loses its accuracy
 OD_EFF_MAX = -math.log(np.finfo(float).tiny)
 N_START = 1024
+N_START_MAPPED = 256  # a pass on the sinh grid (_nodes) starts here, where every row has converged
 N_CAP = 2**20
 # two-point Gauss-Legendre on [-1, 1]: nodes +-_GL_X, each of weight 1
 _GL_X = math.sqrt(1.0 / 3.0)
@@ -92,7 +93,7 @@ def _spectral_integrals(pulse: PulseSpec, rows):
     _converge's 1e-9; only passes that carry P_T widen it. Every frequency integral is taken here."""
     if isinstance(pulse, NarrowBandPulse):
         return _level(pulse, rows, 0), 0
-    vals, panels = _converge(lambda n, cols, prev: _level(pulse, rows, n, prev=prev)[:, None])
+    vals, panels = _converge(lambda n, cols, prev: _level(pulse, rows, n, prev=prev)[:, None], _start(pulse))
     return vals[:, 0], int(panels[0])
 
 
@@ -100,7 +101,7 @@ def _level(pulse: PulseSpec, rows, n, od_eff=0.0, depths=None, prev=None):
     """The row integrals on level n's nodes (_nodes) for a -ln P_T of at most od_eff, the sum of
     its blocks' (_integrate_block); given a 1-D array of depths, with a trailing depth axis.
     Given prev, level n / 2's integrals, a Gaussian samples only level n's new midpoints and
-    returns prev / 2 + their sum, level n's trapezoid; a table ignores prev."""
+    returns prev / 2 + their weighted sum, level n's trapezoid in w or u; a table ignores prev."""
     if isinstance(pulse, NarrowBandPulse):
         return np.asarray(rows(pulse.detuning, 1.0))
     nested = prev is not None and isinstance(pulse, GaussianPulse)
@@ -126,18 +127,23 @@ def _nodes(pulse: PulseSpec, n, od_eff=0.0, midpoints=False):
     and integrate(rows), the rule that sums rows sampled at w along their last axis into
     the block's integrals. The level's integrals are the blocks' sum (_sum_blocks).
 
-    A Gaussian: the trapezoid on n uniform panels over its window for a -ln P_T of at most
-    od_eff, _BLOCK // 4 panels a block; each block is its own trapezoid, and shares its
-    end node with the next; with midpoints, only the n / 2 odd nodes that level n / 2 lacks,
-    as the whole grid's floats, each block's integral h times its sum. A table, whose nodes
-    do not nest, ignores midpoints: two-point Gauss-Legendre on each interval between its
-    own samples and the n + 1 uniform points over its span, _BLOCK // 8 intervals a block.
-    Its density, |linear interpolant|^2, is quadratic on each such interval and 0 off the
-    span, so only the rows' other factors limit the rule. Its nodes number at most
-    2 (n + m) for m table intervals; past n = N_CAP / 2 it raises _converge's NumericError.
+    A Gaussian: the trapezoid on n panels over its window for a -ln P_T of at most od_eff,
+    _BLOCK // 4 panels a block; each block is its own trapezoid, and shares its end node
+    with the next; with midpoints, only the n / 2 odd nodes that level n / 2 lacks, as the
+    whole grid's floats, each block's integral its weighted sum; uniform in w, or in u where
+    _start maps the window (_sinh_block). A table, whose nodes do not nest, ignores midpoints:
+    two-point Gauss-Legendre on each interval between its own samples and the n + 1 uniform
+    points over its span, _BLOCK // 8 intervals a block. Its density, |linear interpolant|^2,
+    is quadratic on each such interval and 0 off the span, so only the rows' other factors
+    limit the rule. Its nodes number at most 2 (n + m) for m table intervals; past
+    n = N_CAP / 2 it raises _converge's NumericError.
     """
     if isinstance(pulse, GaussianPulse):
-        w, h = _panel_grid(*_spectral_window(pulse, od_eff), n)
+        center, half = _spectral_window(pulse, od_eff)
+        if _start(pulse, od_eff) == N_START_MAPPED:  # each block's nodes are made as it is taken
+            nodes = n // 2 if midpoints else n
+            return (_sinh_block(center, half, n, i, midpoints) for i in range(0, nodes, _BLOCK // 4))
+        w, h = _panel_grid(center, half, n)
         if midpoints:
             w, integrate = w[1::2], lambda rows: h * rows.sum(axis=-1)
             return ((w[i:i + _BLOCK // 4], integrate) for i in range(0, n // 2, _BLOCK // 4))
@@ -149,6 +155,15 @@ def _nodes(pulse: PulseSpec, n, od_eff=0.0, midpoints=False):
     edges = np.sort(np.concatenate([omegas, np.linspace(omegas[0], omegas[-1], n + 1)]))
     edges = edges[np.concatenate([[True], edges[1:] != edges[:-1]])]
     return (_gauss_legendre(edges[i:i + _BLOCK // 8 + 1]) for i in range(0, edges.size - 1, _BLOCK // 8))
+
+
+def _start(pulse: PulseSpec, od_eff=0.0):
+    """A pass's first panel count: N_START_MAPPED on the sinh grid (_nodes), else N_START."""
+    if isinstance(pulse, GaussianPulse):
+        center, half = window = _spectral_window(pulse, od_eff)
+        if abs(center) <= half and window == _spectral_window(pulse):  # holds w = 0; od_eff <= 88
+            return N_START_MAPPED
+    return N_START
 
 
 def _gauss_legendre(edges):
@@ -165,15 +180,15 @@ def _sum_blocks(integrals):
     return reduce(np.add, integrals)
 
 
-def _converge(level):
-    """Double n from N_START until no row of level(n, cols, prev), the rows x columns integrals
-    on n panels at columns cols (first slice(None), then the open ones), changes by more
-    than DEFAULT_TOL * max(|value|, 1); each column stops at its own first converged
-    doubling; prev is level n / 2's values at cols, None on the first call. Returns (values,
-    panels): the rows x columns values, each column's count."""
-    prev = level(N_START, slice(None), None)
+def _converge(level, start):
+    """Double n from start (the pass's _start) until no row of level(n, cols, prev), the rows
+    x columns integrals on n panels at columns cols (first slice(None), then the open ones),
+    changes by more than DEFAULT_TOL * max(|value|, 1); each column stops at its own first
+    converged doubling; prev is level n / 2's values at cols, None on the first call. Returns
+    (values, panels): the rows x columns values, each column's count."""
+    prev = level(start, slice(None), None)
     values, panels, cols = np.empty_like(prev), np.empty(prev.shape[1], dtype=int), np.arange(prev.shape[1])
-    n = 2 * N_START
+    n = 2 * start
     while n <= N_CAP:
         vals = level(n, cols, prev)
         done = (np.abs(vals - prev) <= DEFAULT_TOL * np.maximum(np.abs(vals), 1.0)).all(axis=0)
@@ -194,6 +209,21 @@ def _by_column(batch, values):
         if values.size < 2:
             raise
     return [out for i in range(values.size) for out in batch(values[i:i + 1])]
+
+
+def _sinh_block(center, half, n, i, midpoints):
+    """Level n's block (w, integrate) from node i (midpoints: odd node 2 i + 1) on the sinh grid over
+    center +- half: w = sinh(u) / 2 (the ends exact) of weight h cosh(u) / 2, u on n uniform panels
+    over asinh(2 w) of the ends about their centre, so level n / 2's nodes and h / 2 recur exactly
+    at level n. Every row is analytic in |Im u| < pi / 4: the trapezoid converges geometrically."""
+    k = np.arange(i, min(i + _BLOCK // 4, n // 2 if midpoints else n) + (not midpoints))
+    lo, hi = math.asinh(2.0 * (center - half)), math.asinh(2.0 * (center + half))
+    u = ((2 * k + 1 if midpoints else k) - n / 2) * ((hi - lo) / n) + 0.5 * (lo + hi)
+    w, wts = np.sinh(u) / 2, (hi - lo) / n * np.cosh(u) / 2
+    if not midpoints:
+        w[k == 0], w[k == n] = center - half, center + half
+        wts[0], wts[-1] = 0.5 * wts[0], 0.5 * wts[-1]
+    return w, lambda rows: (rows * wts).sum(axis=-1)
 
 
 def _panel_grid(center, half_width, n):
@@ -241,9 +271,11 @@ def _core_pass(pulse: PulseSpec, depths):
     sum rule and the narrow-band-only delays NaN; a depth whose own -ln P_T needs a wider
     window re-runs on it. The conditional times are NaN at od0 = 0.
     """
-    depths = np.asarray(getattr(depths, "od0", depths), dtype=float).reshape(-1)
-    if not np.isfinite(depths).all():
-        raise InvalidParameterError(f"od0 = {depths[~np.isfinite(depths)][0]:.6g} is not a finite depth")
+    medium, depths = depths, np.asarray(getattr(depths, "od0", depths), dtype=float).reshape(-1)
+    if not np.isfinite(depths).all():  # a depth over a subnormal length needs g0^2 past float range
+        why = f"over length {medium.length:.6g} is past float range" if hasattr(medium, "length") \
+            else "is not a finite depth"
+        raise InvalidParameterError(f"od0 = {depths[~np.isfinite(depths)][0]:.6g} {why}")
     if isinstance(pulse, NarrowBandPulse):
         line, t_w = float(lorentzian(pulse.detuning)), wigner_delay(pulse.detuning)
         t_g, t_s = group_delay(pulse.detuning, depths), _scattered_delay_point(pulse.detuning, depths)
@@ -260,12 +292,12 @@ def _core_block(pulse: PulseSpec, od0):
             return lambda n, cols, prev: _level(pulse, rows, n, od_eff, prev=prev)[:, None]
         return lambda n, cols, prev: _level(pulse, _core_rows, n, od_eff, depths[cols], prev)
 
-    vals, n = _converge(level(od0))
+    vals, n = _converge(level(od0), _start(pulse))
     for j, (norm, pt_raw) in enumerate(vals[:2].T.tolist()):
         # a dense medium transmits in the far wing: re-run on the window of this -ln P_T
         bound = -math.log(pt_raw / norm) if pt_raw > 0.0 else OD_EFF_MAX
         if isinstance(pulse, GaussianPulse) and _spectral_window(pulse, bound) != _spectral_window(pulse):
-            vals[:, j:j + 1], n[j:j + 1] = _converge(level(od0[j:j + 1], bound))
+            vals[:, j:j + 1], n[j:j + 1] = _converge(level(od0[j:j + 1], bound), _start(pulse, bound))
     if not (vals[1] > 0.0).all():
         raise InvalidParameterError(f"P_T underflows to 0 at od0 = {od0[~(vals[1] > 0.0)][0]:.6g}; "
                                     "the transmitted spectrum is below float64 range")
@@ -279,8 +311,6 @@ def _core_block(pulse: PulseSpec, od0):
 
 def delay_report(pulse: PulseSpec, medium: MediumProfile):
     """Full analytic DelayReport for one case; conditional times are NaN at od0 = 0."""
-    if not math.isfinite(od0 := medium.od0):  # a depth over a subnormal length needs g0^2 past float range
-        raise InvalidParameterError(f"od0 = {od0:.6g} over length {medium.length:.6g} is past float range")
     return _core_pass(pulse, medium)[0][0]
 
 
@@ -397,7 +427,7 @@ def _invert_block(pulse: PulseSpec, targets):
 
 def _invert_window(pulse: PulseSpec, targets):
     """invert_od_eff of nonzero targets in [0, OD_EFF_MAX] that share a window. A Gaussian's
-    levels nest as _level's do: past N_START each holds its midpoint blocks and nested norm."""
+    levels nest as _level's do: past its _start each holds its midpoint blocks and nested norm."""
     levels = {}  # panel count -> the od0-independent parts: its blocks' (rule, line, density), the norm
 
     def transmitted(d):  # (line, dens) -> the rows trans and trans * line at a (k, 1) column d of od0
@@ -427,7 +457,7 @@ def _invert_window(pulse: PulseSpec, targets):
                 raw[:, idx] += 0.5 * slopes[n // 2][:, idx]
             return np.array([np.full(idx.size, norm), raw[0, idx]])
 
-        (norm, pt_raw), n = _converge(level)
+        (norm, pt_raw), n = _converge(level, _start(pulse, targets[0]))
         with np.errstate(divide="ignore", invalid="ignore"):
             slope = np.array([slopes[k][1, i] for i, k in enumerate(n)]) / pt_raw
             return np.where(pt_raw > 0.0, -np.log(pt_raw / norm), math.inf), slope

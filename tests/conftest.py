@@ -28,9 +28,9 @@ def fine_table_rule():
         weights = (0.5 * (b - a) * wts).ravel()
         return [((0.5 * (a + b) + 0.5 * (b - a) * x).ravel(), lambda rows: (rows * weights).sum(axis=-1))]
 
-    def one_level(level):
-        vals = level(spectral.N_START, slice(None), None)
-        return vals, np.full(vals.shape[1], spectral.N_START)
+    def one_level(level, start):
+        vals = level(start, slice(None), None)
+        return vals, np.full(vals.shape[1], start)
 
     @contextlib.contextmanager
     def rule():

@@ -348,9 +348,12 @@ kind = timedomain
         assert f"unknown key {entry.split()[0]!r} in section [grid]" in capsys.readouterr().err
 
     def test_numeric_failure_exits_3(self, tmp_path, capsys):
-        # a pulse of sigma = 1e-4 has a window of +-8e4 linewidths, on which even
-        # 2**20 panels do not resolve the line
-        cfg = write(tmp_path, BASE.replace("sigma = 1.0", "sigma = 1e-4"))
+        # a flat table over +-1e6 linewidths needs panels about a linewidth wide to
+        # resolve the line, more than the 2**20-panel cap admits (a Gaussian of sigma
+        # 1e-4 failed so on the uniform grid, and converges on the sinh grid)
+        np.savetxt(tmp_path / "flat.txt", np.column_stack([[-1e6, 1e6], [1.0, 1.0]]))
+        cfg = write(tmp_path, f"[pulse]\nkind = tabulated\nspectrum_file = {tmp_path / 'flat.txt'}\n"
+                              "[medium]\nod0 = 2.0\n")
         assert cli.main(["run", cfg]) == 3
         assert "quadrature not converged at 1048576 panels" in capsys.readouterr().err
 
@@ -603,14 +606,15 @@ count = 3
         assert not out.exists()
 
 
-# SHA-256 of each canned figure CSV; the README promises byte-identical output
+# SHA-256 of each canned figure CSV; the README promises byte-identical output. figG1's
+# moved on the sinh grid in one digit, to the long-double reference's (test_reference)
 FIGURE_SHA256 = {
     "fig2": "091dfbdb643048c2bdff1ed7dc99893593d4fb36ae142d518d8b7fbc3071dc58",
     "fig3a": "5d729d72c366c9c22d10962f230a2e3b6f75666b8a630b83e2d10b46daf8e534",
     "fig3b": "eb48e240443e95c4216482958c8db25f7afe9c9391db99cdd9b981fef011b8ba",
     "fig4": "2ce97a82ae1280e509ff159d36fe3673bfcd814554cd5fde6f46a9551cf77271",
     "figF1": "bbb84173c821ebc962bf850a0c3699d2e7c66003b906ab633f0512911e550ddd",
-    "figG1": "db9dbf8decb797b73492bc929a312cf563096dd9db039a6fce9310a6f186addd",
+    "figG1": "af12723a4ce872461eabd07caa6b0af08a9239cfe6d61bb150888700c43d3cca",
 }
 
 
@@ -683,8 +687,10 @@ class TestFigureCommand:
             assert [float.hex(float(v)) for v in row] == [float.hex(float(v)) for v in [row[0], m.od0] + exact]
 
     def test_validate_underresolved_grid_fails(self, capsys, monkeypatch):
-        # a loose stopping rule leaves a doubling change of about 4e-4
+        # a loose stopping rule from an under-resolved start of the sinh grid stops at 32
+        # panels, whose doubling changes a row by 1.6e-5
         monkeypatch.setattr(spectral, "DEFAULT_TOL", 1e-3)
+        monkeypatch.setattr(spectral, "N_START_MAPPED", 16)
         assert cli.main(["validate"]) == 1
         line = next(ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("grid_convergence"))
         assert line.split("  [")[0].endswith("FAIL")

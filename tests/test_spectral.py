@@ -260,9 +260,9 @@ class TestEffectiveDepth:
 
     def test_inversion_samples_density_once_per_level(self):
         # every pass reuses the density of each block of the panel levels it visits, and
-        # each level past N_START samples only its new midpoints, so no node is sampled
-        # twice; sigma 1 stops at 2048 panels, sigma 0.02 at 8192 (levels of 1025, 1024,
-        # 2048 and 4096 new nodes)
+        # each level past the first samples only its new midpoints, so no node is sampled
+        # twice; both stop at 512 panels on the sinh grid (levels of 257 and 256 new nodes),
+        # where the uniform grid took 2048 and 8192
         calls = []
 
         class CountedPulse(GaussianPulse):
@@ -297,9 +297,9 @@ class TestEffectiveDepth:
         """One entry per spectral._converge call (quadrature pass) made in the test."""
         converge, calls = spectral._converge, []
 
-        def counted_converge(level):
+        def counted_converge(level, start):
             calls.append(1)
-            return converge(level)
+            return converge(level, start)
 
         monkeypatch.setattr(spectral, "_converge", counted_converge)
         return calls
@@ -350,7 +350,8 @@ def _reference_bisection(pulse, od_eff):
         return np.array([[norm], [pt_raw]])
 
     def f(od0):
-        ((norm,), (pt_raw,)), _ = spectral._converge(lambda n, cols, prev: level(n, od0))
+        ((norm,), (pt_raw,)), _ = spectral._converge(lambda n, cols, prev: level(n, od0),
+                                                     spectral._start(pulse, target))
         return float(-np.log(pt_raw / norm)) if pt_raw > 0.0 else math.inf
 
     lo = target
@@ -529,7 +530,7 @@ def _wide_window_tau_t(pulse, od0):
         w, h = spectral._panel_grid(pulse.detuning, 60.0 / pulse.sigma, n)
         return spectral._trapezoid(h, rows(w, pulse.spectral_density(w)))[:, None]
 
-    (_, (pt_raw,), _, (num,)), _ = spectral._converge(level)
+    (_, (pt_raw,), _, (num,)), _ = spectral._converge(level, spectral.N_START)
     return num / pt_raw
 
 
@@ -587,9 +588,9 @@ def panels(monkeypatch):
     """The panel count of every spectral._converge call made in the test."""
     converge, counts = spectral._converge, []
 
-    def counted_converge(level):
-        vals, n = converge(level)
-        counts.append(n)
+    def counted_converge(level, start):
+        vals, n = converge(level, start)
+        counts.append(n.copy())  # _core_block writes a dense depth's re-run into n
         return vals, n
 
     monkeypatch.setattr(spectral, "_converge", counted_converge)
@@ -627,25 +628,93 @@ def test_scattered_delay_takes_the_pulse_window(panels, od0):
     assert delay == pytest.approx(report.tau_S, rel=1e-12)
 
 
+def whole_grid(pulse, n):
+    """(w, weights): a Gaussian level's n + 1 nodes and their weights before the trapezoid
+    halves its ends. Uniform in w: the spacing. Mapped: w = sinh(u) / 2, the window's ends
+    exact, of weight h cosh(u) / 2, with u_k = (k - n / 2) h + the centre of the u-window
+    over asinh(2 w) of the window's ends."""
+    center, half = spectral._spectral_window(pulse)
+    if spectral._start(pulse) != spectral.N_START_MAPPED:
+        w, h = spectral._panel_grid(center, half, n)
+        return w, np.full_like(w, h)
+    lo, hi = math.asinh(2.0 * (center - half)), math.asinh(2.0 * (center + half))
+    u = (np.arange(n + 1) - n / 2) * ((hi - lo) / n) + 0.5 * (lo + hi)
+    w = np.sinh(u) / 2
+    w[0], w[-1] = center - half, center + half
+    return w, (hi - lo) / n * np.cosh(u) / 2
+
+
 @pytest.mark.parametrize("n", [2048, 8192, 65536])
 def test_gaussian_level_in_blocks_is_the_whole_trapezoid(n):
     # past _BLOCK // 4 panels a Gaussian level is a run of trapezoids that share their
-    # end nodes, and a nested level is half the level below plus h times the sum of its
-    # n / 2 midpoints, _BLOCK // 4 a block; each is the whole level's trapezoid up to the
-    # order of its additions, for one depth and along a depth axis
-    pulse = GaussianPulse(0.02)
-    assert len(list(spectral._nodes(pulse, n))) == max(1, n // (spectral._BLOCK // 4))
-    assert len(list(spectral._nodes(pulse, n, midpoints=True))) == max(1, n // 2 // (spectral._BLOCK // 4))
-    w, h = spectral._panel_grid(*spectral._spectral_window(pulse), n)
-    dens = pulse.spectral_density(w)
-    depths = np.array([0.5, 2.0, 30.0])
-    cases = [(spectral._core_rows(2.0), None, spectral._core_rows(2.0)(w, dens)),  # one depth
-             (spectral._core_rows, depths, spectral._core_rows(depths[:, None])(w, dens))]  # a depth axis
-    for rows, axis, samples in cases:
-        whole = spectral._trapezoid(h, samples)
-        level = partial(spectral._level, pulse, rows, depths=axis)
-        np.testing.assert_allclose(level(n), whole, rtol=1e-14, atol=0.0)
-        np.testing.assert_allclose(level(n, prev=level(n // 2)), whole, rtol=1e-14, atol=0.0)
+    # end nodes, and a nested level is half the level below plus the weighted sum of its
+    # n / 2 midpoints, _BLOCK // 4 a block; each is the whole level's trapezoid in u up to
+    # the order of its additions, for one depth and along a depth axis, on the mapped grid
+    # of a window that holds the line and the uniform grid of one that does not
+    for pulse in (GaussianPulse(0.02), GaussianPulse(0.02, 500.0)):
+        assert len(list(spectral._nodes(pulse, n))) == max(1, n // (spectral._BLOCK // 4))
+        assert len(list(spectral._nodes(pulse, n, midpoints=True))) == max(1, n // 2 // (spectral._BLOCK // 4))
+        w, weights = whole_grid(pulse, n)
+        dens = pulse.spectral_density(w)
+        depths = np.array([0.5, 2.0, 30.0])
+        cases = [(spectral._core_rows(2.0), None, spectral._core_rows(2.0)(w, dens)),  # one depth
+                 (spectral._core_rows, depths, spectral._core_rows(depths[:, None])(w, dens))]  # a depth axis
+        for rows, axis, samples in cases:
+            whole = spectral._trapezoid(1.0, samples * weights)
+            level = partial(spectral._level, pulse, rows, depths=axis)
+            np.testing.assert_allclose(level(n), whole, rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(level(n, prev=level(n // 2)), whole, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("sigma", [1e-6, 1e-4, 1e-3, 0.02, 0.05, 0.3, 1.0, 10.0, 100.0])
+def test_mapped_pass_stops_at_512_panels(panels, sigma):
+    # on the uniform grid these took 2048 to 2**20 panels, and sigma 1e-4 and 1e-6 raised
+    # NumericError at the cap; a window that leaves out the line (sigma 100 at detuning 3)
+    # stays uniform, and so does the re-run of a depth whose -ln P_T passes 88 (sigma 1
+    # at od0 1e5)
+    for detuning in (0.0, 0.7, 3.0, -40.0):
+        pulse = GaussianPulse(sigma, detuning)
+        if spectral._start(pulse) != spectral.N_START_MAPPED:
+            continue
+        for od0 in (1e-3, 0.1, 2.0, 20.0, 1e3, 1e5):
+            panels.clear()
+            try:
+                [(report, n)] = spectral._core_pass(pulse, [od0])
+            except InvalidParameterError:  # P_T below float range at sigma 10 and 100
+                assert sigma >= 10.0 and od0 >= 1e3
+                continue
+            assert panels[0].tolist() == [512]
+            assert n == 512 or report.od_eff > 88.0, (detuning, od0)
+
+
+# float.hex of delay_report's fields and of scattered_delay (None: not pinned) on the
+# uniform grid: windows that leave out the line, and a depth re-run on a widened window.
+# far_detuned's tau_S reads 0 where it is about 3e-28: the open cancellation of the
+# outcome sum rule at large detuning, whose mend would re-pin it
+UNIFORM_HEX = {
+    "far_detuned": ((1.0, 5e13, 2.0), ["0x1.0000000000000p+0", "0x1.fb0f6be506019p-93",
+                                       "0x1.fb0f6be506019p-93", "0x1.fb0f6be506019p-93",
+                                       "0x0.0p+0", "-0x0.0p+0"],
+                    "0x1.7c4b90ebc4813p-92"),
+    "line_outside": ((0.05, 200.0, 2.0), ["0x1.fffe5963a42bap-1", "0x1.a69c5bd47c03ap-17",
+                                          "0x1.a69c5bd47c03ap-17", "0x1.a69ba809eb03cp-17",
+                                          "0x1.4036cdee10000p-16", "0x1.a69d0a3eb78a0p-17"],
+                     "0x1.4036cdee15848p-16"),
+    "dense": ((1.0, 0.3, 1e4), ["0x1.ba9f73d63c1dap-195", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+                                "0x1.0fe19c891774dp+6", "0x1.0000000000000p+0", "0x1.0d3b794490c34p+7"], None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNIFORM_HEX))
+def test_uniform_grid_keeps_its_bits(panels, name):
+    # the bits of the uniform trapezoid before the sinh grid came in, on the pass that
+    # gives the report (after the dense case's first, mapped pass)
+    (sigma, detuning, od0), fields, delay = UNIFORM_HEX[name]
+    pulse, medium = GaussianPulse(sigma, detuning), make_uniform_medium(od0)
+    assert [float.hex(getattr(spectral.delay_report(pulse, medium), f)) for f in REPORT_FIELDS] == fields
+    assert panels[-1].tolist() == [2048]
+    if delay is not None:
+        assert float.hex(spectral.scattered_delay(pulse, medium)) == delay
 
 
 @pytest.fixture
@@ -661,20 +730,21 @@ def sampled(monkeypatch):
     return nodes
 
 
+# each id names the panels its case took on the uniform grid; every mapped pass stops at 512
 @pytest.mark.parametrize("pulse,integrate,n", [
-    (GaussianPulse(1.0, 0.3), lambda p: spectral.delay_report(p, make_uniform_medium(2.0)), 2048),
-    (GaussianPulse(0.05, 0.7), lambda p: spectral.delay_report(p, make_uniform_medium(2.0)), 4096),
-    (GaussianPulse(0.02, 0.7), lambda p: spectral.delay_report(p, make_uniform_medium(2.0)), 16384),
-    (GaussianPulse(0.02, 0.7), lambda p: spectral.scattered_delay(p, make_uniform_medium(2.0)), 16384),
-    (GaussianPulse(0.05, 0.4), lambda p: cavity.tau_B_direct(cavity.CavityParams(0.5, 1.2), p), 4096),
-], ids=["report_2048", "report_4096", "report_16384", "scattered_delay", "cavity_tau_B"])
+    (GaussianPulse(1.0, 0.3), lambda p: spectral.delay_report(p, make_uniform_medium(2.0)), 512),
+    (GaussianPulse(0.05, 0.7), lambda p: spectral.delay_report(p, make_uniform_medium(2.0)), 512),
+    (GaussianPulse(0.02, 0.7), lambda p: spectral.delay_report(p, make_uniform_medium(2.0)), 512),
+    (GaussianPulse(0.02, 0.7), lambda p: spectral.scattered_delay(p, make_uniform_medium(2.0)), 512),
+    (GaussianPulse(0.05, 0.4), lambda p: cavity.tau_B_direct(cavity.CavityParams(0.5, 1.2), p), 512),
+    (GaussianPulse(0.05, 200.0), lambda p: spectral.delay_report(p, make_uniform_medium(2.0)), 2048),
+], ids=["report_2048", "report_4096", "report_16384", "scattered_delay", "cavity_tau_B", "line_outside_2048"])
 def test_gaussian_pass_samples_each_node_once(sampled, panels, pulse, integrate, n):
     # a doubling samples only its new midpoints: a pass that stops at n panels samples the
     # n + 1 nodes of its final level, each once, where whole levels sampled about 2 n
     integrate(pulse)
     assert [int(k[0]) for k in panels] == [n]
-    w, _ = spectral._panel_grid(*spectral._spectral_window(pulse), n)
-    assert np.sort(np.concatenate(sampled)).tolist() == w.tolist()
+    assert np.sort(np.concatenate(sampled)).tolist() == np.sort(whole_grid(pulse, n)[0]).tolist()
 
 
 def test_quadrature_cap_raises():
