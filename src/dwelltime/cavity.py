@@ -91,7 +91,7 @@ def tau_B_direct(params: CavityParams, pulse: PulseSpec):
         far = np.isinf(w2)  # where 4 w^2 overflows: the limits ref2 -> 1, num -> 0
         return dens * np.where(far, 1.0, ref2), np.where(far, 0.0, num)
 
-    (ref_raw, num_raw), _ = _spectral_integrals(pulse, rows)
+    (ref_raw, num_raw), _ = _spectral_integrals(pulse, rows, signed=(1,))
     if not ref_raw.real > 0.0:
         raise InvalidParameterError("nothing reflects; conditional dwell undefined")
     return float(4.0 * g1 * np.real(num_raw) / ref_raw.real)

@@ -225,13 +225,13 @@ def _fmt(value):
 
 
 def write_csv(out_path, comments, header, rows):
-    """Deterministic CSV: '#' comments, one header row, 12-significant-digit values."""
+    """Deterministic CSV: '#' comments, one header row, _fmt's values in the first row's column kinds."""
     buf = io.StringIO()
     for line in comments:
         buf.write(f"# {line}\n")
     buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(map(_fmt, row)) + "\n")
+    fmt = ",".join("%s" if isinstance(v, str) else "%.11e" for v in (rows[0] if rows else ())) + "\n"
+    buf.writelines(fmt % tuple(row) for row in rows)
     text = buf.getvalue()
     if out_path is None:
         sys.stdout.write(text)

@@ -34,7 +34,7 @@ _NEWTON_STEPS = 30  # Newton passes after which invert_od_eff bisects on -ln P_T
 # above this od_eff, P_T = exp(-od_eff) is subnormal and the inversion loses its accuracy
 OD_EFF_MAX = -math.log(np.finfo(float).tiny)
 N_START = 1024
-N_START_MAPPED = 256  # a pass on the sinh grid (_nodes) starts here, where every row has converged
+N_START_MAPPED = 64  # a pass on the sinh grid (_nodes) starts here; _row_scale judges its rows one by one
 N_CAP = 2**20
 # two-point Gauss-Legendre on [-1, 1]: nodes +-_GL_X, each of weight 1
 _GL_X = math.sqrt(1.0 / 3.0)
@@ -85,15 +85,23 @@ def _spectral_window(pulse: GaussianPulse, od_eff=0.0):
     return pulse.detuning, half
 
 
-def _spectral_integrals(pulse: PulseSpec, rows):
-    """(values, panels): the integral of each row of rows(w, dens) over the pulse spectrum,
-    dens its density at w, on _level's nodes until _converge stops them; a narrow-band pulse
-    gives rows(detuning, 1.0) and 0 panels. A Gaussian keeps its own window 8 / sigma, off which
-    the density, and a row it bounds (a scattered weight), has mass below e^-128, far under
+def _spectral_integrals(pulse: PulseSpec, rows, signed=()):
+    """(values, panels): the integral of each row of rows(w, dens) over the pulse spectrum, dens its density
+    at w, on _level's nodes until _converge stops them; a narrow-band pulse gives rows(detuning, 1.0) and 0
+    panels; a mapped pass scales the rows in signed (_row_scale). A Gaussian keeps its own window 8 / sigma,
+    off which the density, and a row it bounds (a scattered weight), has mass below e^-128, far under
     _converge's 1e-9; only passes that carry P_T widen it. Every frequency integral is taken here."""
     if isinstance(pulse, NarrowBandPulse):
         return _level(pulse, rows, 0), 0
-    vals, panels = _converge(lambda n, cols, prev: _level(pulse, rows, n, prev=prev)[:, None], _start(pulse))
+    signed = signed if _start(pulse) == N_START_MAPPED else ()
+
+    def scaled(w, dens):  # the rows, then |row| of each row in signed
+        vals = np.asarray(rows(w, dens))
+        return np.concatenate([vals, np.abs(vals[list(signed)])])
+
+    level = lambda n, cols, prev: _level(pulse, scaled if signed else rows, n, prev=prev)[:, None]
+    level.signed = signed
+    vals, panels = _converge(level, _start(pulse))
     return vals[:, 0], int(panels[0])
 
 
@@ -105,8 +113,8 @@ def _level(pulse: PulseSpec, rows, n, od_eff=0.0, depths=None, prev=None):
     if isinstance(pulse, NarrowBandPulse):
         return np.asarray(rows(pulse.detuning, 1.0))
     nested = prev is not None and isinstance(pulse, GaussianPulse)
-    total = _sum_blocks(_integrate_block(integrate, rows, depths, w, pulse.spectral_density(w))
-                        for w, integrate in _nodes(pulse, n, od_eff, nested))
+    total = reduce(np.add, (_integrate_block(integrate, rows, depths, w, pulse.spectral_density(w))
+                            for w, integrate in _nodes(pulse, n, od_eff, nested)))
     return 0.5 * np.reshape(prev, total.shape) + total if nested else total  # prev may hold a column axis
 
 
@@ -125,7 +133,7 @@ def _integrate_block(integrate, rows, depths, x, dens):
 def _nodes(pulse: PulseSpec, n, od_eff=0.0, midpoints=False):
     """Level n's blocks (w, integrate) of about _BLOCK // 4 nodes each: frequency nodes w,
     and integrate(rows), the rule that sums rows sampled at w along their last axis into
-    the block's integrals. The level's integrals are the blocks' sum (_sum_blocks).
+    the block's integrals. The level's integrals are the blocks' sum.
 
     A Gaussian: the trapezoid on n panels over its window for a -ln P_T of at most od_eff,
     _BLOCK // 4 panels a block; each block is its own trapezoid, and shares its end node
@@ -158,7 +166,7 @@ def _nodes(pulse: PulseSpec, n, od_eff=0.0, midpoints=False):
 
 
 def _start(pulse: PulseSpec, od_eff=0.0):
-    """A pass's first panel count: N_START_MAPPED on the sinh grid (_nodes), else N_START."""
+    """A pass's first panel count and rule (_row_scale): N_START_MAPPED on the sinh grid (_nodes), else N_START."""
     if isinstance(pulse, GaussianPulse):
         center, half = window = _spectral_window(pulse, od_eff)
         if abs(center) <= half and window == _spectral_window(pulse):  # holds w = 0; od_eff <= 88
@@ -175,29 +183,35 @@ def _gauss_legendre(edges):
             lambda rows: ((rows[..., :k] + rows[..., k:]) * half).sum(axis=-1))
 
 
-def _sum_blocks(integrals):
-    """The sum of a level's per-block integrals; a single block's, unchanged."""
-    return reduce(np.add, integrals)
-
-
 def _converge(level, start):
-    """Double n from start (the pass's _start) until no row of level(n, cols, prev), the rows
-    x columns integrals on n panels at columns cols (first slice(None), then the open ones),
-    changes by more than DEFAULT_TOL * max(|value|, 1); each column stops at its own first
-    converged doubling; prev is level n / 2's values at cols, None on the first call. Returns
-    (values, panels): the rows x columns values, each column's count."""
-    prev = level(start, slice(None), None)
-    values, panels, cols = np.empty_like(prev), np.empty(prev.shape[1], dtype=int), np.arange(prev.shape[1])
+    """Double n from start (the pass's _start) until no row of level(n, cols, prev), the rows x columns
+    integrals on n panels at columns cols (first slice(None), then the open ones), changes by more than
+    DEFAULT_TOL times its _row_scale; each column stops at its own first converged doubling; prev is level
+    n / 2's values at cols, None on the first call. Returns (values, panels): the rows x columns values, each
+    column's count. The rows the level appends, the integrals of |row| of those in level.signed, only scale."""
+    prev, signed = level(start, slice(None), None), getattr(level, "signed", ())
+    k = prev.shape[0] - len(signed)
+    values, panels, cols = np.empty_like(prev[:k]), np.empty(prev.shape[1], dtype=int), np.arange(prev.shape[1])
     n = 2 * start
     while n <= N_CAP:
         vals = level(n, cols, prev)
-        done = (np.abs(vals - prev) <= DEFAULT_TOL * np.maximum(np.abs(vals), 1.0)).all(axis=0)
-        values[:, cols[done]], panels[cols[done]] = vals[:, done], n
+        done = (np.abs(vals[:k] - prev[:k]) <= DEFAULT_TOL * _row_scale(vals, signed, start)).all(axis=0)
+        values[:, cols[done]], panels[cols[done]] = vals[:k, done], n
         if done.all():
             return values, panels
         cols, prev = cols[~done], vals[:, ~done]
         n *= 2
     raise NumericError(f"quadrature not converged at {N_CAP} panels (tol={DEFAULT_TOL})")
+
+
+def _row_scale(vals, signed, start):
+    """A value row's scale in _converge: max(|value|, 1) on a uniform pass; on a mapped one |value|, or for a row in
+    signed its appended integral of |row|, at least e^-88 of the column's largest (past od_eff 88 depths re-run)."""
+    scale = np.abs(vals[:vals.shape[0] - len(signed)])
+    if start != N_START_MAPPED:
+        return np.maximum(scale, 1.0)
+    scale[list(signed)] = np.abs(vals[scale.shape[0]:])
+    return np.maximum(scale, math.exp(-88.0) * scale.max(axis=0))
 
 
 def _by_column(batch, values):
@@ -243,19 +257,21 @@ def _trapezoid(h, rows):
     return h * (rows.sum(axis=-1) - 0.5 * (rows[..., 0] + rows[..., -1]))
 
 
-def _core_rows(od0):
-    """The four real rows of a finite-bandwidth pass at depth od0, or at a (k, 1) column of
-    depths, as a function of (w, dens): norm, P_T, P_S and the tau_T numerator, unnormalized."""
+def _core_rows(od0, scaled=False):
+    """The four real rows of a finite-bandwidth pass at depth od0, or at a (k, 1) column of depths, as a
+    function of (w, dens): norm, P_T, P_S and the tau_T numerator, unnormalized; scaled, then |tau_T numerator|."""
 
     def rows(w, dens):
         # out first: allocated after _line_and_delay's temporaries, it made the heap shrink and regrow
-        out = np.empty((4, *np.shape(od0)[:-1], *np.shape(w)))
+        out = np.empty((4 + scaled, *np.shape(od0)[:-1], *np.shape(w)))
         line, delay = _line_and_delay(w, od0)
         out[0] = dens
         neg_x = np.negative(np.multiply(od0, line, out=out[2]), out=out[2])
         trans = np.multiply(np.exp(neg_x, out=out[1]), dens, out=out[1])
         np.multiply(np.negative(np.expm1(neg_x, out=out[2]), out=out[2]), dens, out=out[2])
         np.multiply(trans, delay, out=out[3])
+        if scaled:
+            np.abs(out[3], out=out[4])
         return out
 
     return rows
@@ -287,10 +303,14 @@ def _core_pass(pulse: PulseSpec, depths):
 
 def _core_block(pulse: PulseSpec, od0):
     def level(depths, od_eff=0.0):  # _converge's level(n, cols, prev): _core_rows integrals at depths[cols]
+        scaled = _start(pulse, od_eff) == N_START_MAPPED  # then |tau_T numerator| (_row_scale)
         if depths.size == 1:  # one depth is sampled without the depth axis, as its one column
-            rows = _core_rows(depths[0])
-            return lambda n, cols, prev: _level(pulse, rows, n, od_eff, prev=prev)[:, None]
-        return lambda n, cols, prev: _level(pulse, _core_rows, n, od_eff, depths[cols], prev)
+            rows = _core_rows(depths[0], scaled)
+            at = lambda n, cols, prev: _level(pulse, rows, n, od_eff, prev=prev)[:, None]
+        else:
+            at = lambda n, cols, prev: _level(pulse, partial(_core_rows, scaled=scaled), n, od_eff, depths[cols], prev)
+        at.signed = (3,) if scaled else ()
+        return at
 
     vals, n = _converge(level(od0), _start(pulse))
     for j, (norm, pt_raw) in enumerate(vals[:2].T.tolist()):
@@ -447,12 +467,12 @@ def _invert_window(pulse: PulseSpec, targets):
             if n not in levels:
                 blocks = [(integrate, lorentzian(w), pulse.spectral_density(w))
                           for w, integrate in _nodes(pulse, n, targets[0], nested)]
-                norm = _sum_blocks(integrate(dens) for integrate, _, dens in blocks)
+                norm = reduce(np.add, (integrate(dens) for integrate, _, dens in blocks))
                 levels[n] = blocks, 0.5 * levels[n // 2][1] + norm if nested else norm
             blocks, norm = levels[n]
             idx, raw = np.arange(od0.size)[cols], slopes.setdefault(n, np.empty((2, od0.size)))
-            raw[:, idx] = _sum_blocks(_integrate_block(integrate, transmitted, od0[idx], line, dens)
-                                      for integrate, line, dens in blocks)
+            raw[:, idx] = reduce(np.add, (_integrate_block(integrate, transmitted, od0[idx], line, dens)
+                                          for integrate, line, dens in blocks))
             if nested:
                 raw[:, idx] += 0.5 * slopes[n // 2][:, idx]
             return np.array([np.full(idx.size, norm), raw[0, idx]])

@@ -17,12 +17,12 @@ PRECISE = np.finfo(LONG).eps < 1e-18
 WHY_NOT = f"long double eps {float(np.finfo(LONG).eps):.3g} is not below 1e-18 on this platform"
 
 
-def integrals(sigma, detuning, rows, panels=4096):
+def integrals(sigma, detuning, rows, panels=4096, half=8):
     """The integral of each row of rows(w, dens), long double arrays of the nodes w and the
-    density dens there, over the window +- 8 / sigma about the carrier, and the density's
+    density dens there, over the window +- half / sigma about the carrier, and the density's
     own integral first. Each lacks the same constant factor, which every ratio cancels."""
-    sigma, detuning = LONG(sigma), LONG(detuning)
-    lo, hi = np.arcsinh(2 * (detuning - 8 / sigma)), np.arcsinh(2 * (detuning + 8 / sigma))
+    sigma, detuning, half = LONG(sigma), LONG(detuning), LONG(half)
+    lo, hi = np.arcsinh(2 * (detuning - half / sigma)), np.arcsinh(2 * (detuning + half / sigma))
     u = lo + (hi - lo) * np.arange(panels + 1, dtype=LONG) / panels
     w = np.sinh(u) / 2
     weights = np.cosh(u) / 2  # dw / du
@@ -31,16 +31,16 @@ def integrals(sigma, detuning, rows, panels=4096):
     return [(weights * row).sum() for row in (dens, *rows(w, dens))]
 
 
-def report(sigma, detuning, od0, panels=4096):
+def report(sigma, detuning, od0, panels=4096, half=8):
     """{P_T, P_S, tau_T, tau_S, od_eff} of a Gaussian pulse (sigma, detuning) through
-    resonant depth od0, each a long double."""
+    resonant depth od0, each a long double, on the window +- half / sigma (integrals)."""
     def rows(w, dens):
         line = 1 / (1 + 4 * w * w)
         x = LONG(od0) * line
         trans = dens * np.exp(-x)
         return trans, dens * -np.expm1(-x), trans * -x * (1 - 4 * w * w) * line
 
-    norm, pt, ps, num = integrals(sigma, detuning, rows, panels)
+    norm, pt, ps, num = integrals(sigma, detuning, rows, panels, half)
     return {"P_T": pt / norm, "P_S": ps / norm, "tau_T": num / pt, "tau_S": 1 - num / ps,
             "od_eff": -np.log(pt / norm)}
 

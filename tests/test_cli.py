@@ -688,7 +688,7 @@ class TestFigureCommand:
 
     def test_validate_underresolved_grid_fails(self, capsys, monkeypatch):
         # a loose stopping rule from an under-resolved start of the sinh grid stops at 32
-        # panels, whose doubling changes a row by 1.6e-5
+        # panels, whose doubling changes a row by 8.1e-7
         monkeypatch.setattr(spectral, "DEFAULT_TOL", 1e-3)
         monkeypatch.setattr(spectral, "N_START_MAPPED", 16)
         assert cli.main(["validate"]) == 1

@@ -167,9 +167,9 @@ def test_figure_blocks_stay_small(name):
                          ids=["delay_report", "scattered_delay"])
 def test_long_pulse_blocks_stay_small(monkeypatch, call):
     # a 16384-panel level sampled whole holds 1.32 MB (delay_report) and 1.46 MB at once.
-    # The sinh grid stops at 512 panels; started on 16384 it samples 16384 and 32768
+    # The sinh grid stops at 256 panels; started on 16384 it samples 16384 and 32768
     pulse, medium = GaussianPulse(0.02, 0.7), make_uniform_medium(2.0)
-    assert spectral._core_pass(pulse, medium)[0][1] == 512
+    assert spectral._core_pass(pulse, medium)[0][1] == 256
     monkeypatch.setattr(spectral, "N_START_MAPPED", 16384)
     assert spectral._core_pass(pulse, medium)[0][1] == 32768
     assert _traced_peak(lambda: call(pulse, medium)) <= 0.6e6

@@ -373,13 +373,17 @@ def test_outputs_keep_their_bits(request, case, medium):
 
 
 def test_outputs_do_not_depend_on_the_blas_thread_count():
-    """The ramped run in fresh processes with one and with two OpenBLAS threads gives
-    the same bits: no sum over a whole field or history goes through BLAS's pool."""
+    """The ramped run, and a 60-cell run of a 1000-sample chirped table, in fresh processes
+    with one and with two OpenBLAS threads give the same bits: no sum over a whole field or
+    history, and no product of the table's synthesis, goes through BLAS's pool."""
     script = (f"import sys; sys.path.insert(0, {os.path.dirname(__file__)!r}); "
               "import test_timedomain as t; from dwelltime import timedomain; "
               "grid = timedomain.GridSpec.build(t.RAMP_PULSE, t.RAMP_MEDIUM, cells_per_medium=80); "
               "fwd = timedomain.integrate_forward(t.RAMP_PULSE, t.RAMP_MEDIUM, grid); "
-              "print(t._outputs(fwd, timedomain.integrate_backward(fwd, t.RAMP_MEDIUM), t.RAMP_MEDIUM))")
+              "print(t._outputs(fwd, timedomain.integrate_backward(fwd, t.RAMP_MEDIUM), t.RAMP_MEDIUM)); "
+              "tab, m = t._chirped_table(t.np.linspace(-9.2, 8.8, 1000), 1.0, -0.2, 0.3), t.MEDIUM; "
+              "grid = timedomain.GridSpec.build(tab, m, cells_per_medium=60); "
+              "print(timedomain.integrate_forward(tab, m, grid).p_t.hex())")
     src = os.path.dirname(os.path.dirname(os.path.abspath(timedomain.__file__)))
     outs = []
     for threads in ("1", "2"):
@@ -387,7 +391,8 @@ def test_outputs_do_not_depend_on_the_blas_thread_count():
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         outs.append(subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                                    text=True, check=True, timeout=120).stdout)
-    assert outs[0] == outs[1] == f"{BITS['ramped']}\n"
+    assert outs[0] == outs[1]
+    assert outs[0].splitlines()[0] == f"{BITS['ramped']}"
 
 
 @pytest.mark.parametrize("in_place", [False, True], ids=["into_out", "into_beta"])
