@@ -492,7 +492,7 @@ def build_parser():
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_val = sub.add_parser("validate", help="run the named cross-validation checks")
-    p_val.add_argument("--profile", choices=("fast", "full"), default="fast")
+    p_val.add_argument("--profile", choices=tuple(validation.PROFILES), default="fast")
     p_val.set_defaults(func=cmd_validate)
     return parser
 
