@@ -218,14 +218,9 @@ def run_scenario(scenario: Scenario):
 
 # --- CSV output ------------------------------------------------------------
 
-def _fmt(value):
-    if isinstance(value, str):
-        return value
-    return f"{float(value):.11e}"
-
-
 def write_csv(out_path, comments, header, rows):
-    """Deterministic CSV: '#' comments, one header row, _fmt's values in the first row's column kinds."""
+    """Deterministic CSV: '#' comments, one header row, then each row with every number as "%.11e" and every
+    string as is, the kinds taken from the first row."""
     buf = io.StringIO()
     for line in comments:
         buf.write(f"# {line}\n")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial, reduce
 
 import numpy as np
@@ -33,8 +33,9 @@ _REPLAY_GAP = 1e-12
 _NEWTON_STEPS = 30  # Newton passes after which invert_od_eff bisects on -ln P_T alone
 # above this od_eff, P_T = exp(-od_eff) is subnormal and the inversion loses its accuracy
 OD_EFF_MAX = -math.log(np.finfo(float).tiny)
+_OWN_OD = 88.0  # the largest -ln P_T that a Gaussian's own window 8 / sigma serves (_spectral_window)
 N_START = 1024
-N_START_MAPPED = 64  # a pass on the sinh grid (_nodes) starts here; _row_scale judges its rows one by one
+N_START_MAPPED = 64  # a Gaussian pass (_nodes' sinh map) starts here; _row_scale judges its rows one by one
 N_CAP = 2**20
 # two-point Gauss-Legendre on [-1, 1]: nodes +-_GL_X, each of weight 1
 _GL_X = math.sqrt(1.0 / 3.0)
@@ -75,25 +76,30 @@ def wigner_delay(detuning):
 
 
 def _spectral_window(pulse: GaussianPulse, od_eff=0.0):
-    """Center and half-width of a Gaussian pulse's quadrature window,
-    max(8, sqrt((min(od_eff, OD_EFF_MAX) + 40) / 2)) / sigma, which leaves out density of
-    mass at most e^-40 P_T for od_eff >= -ln P_T. InvalidParameterError where the squared
-    offsets over the window, which the density takes, pass float range."""
+    """Center and half-width of a Gaussian pulse's quadrature window, max(8, sqrt((min(od_eff,
+    OD_EFF_MAX) + 40) / 2)) / sigma, which leaves out density of mass at most e^-40 P_T for od_eff
+    >= -ln P_T. InvalidParameterError where the squared offsets over the window, which the density
+    takes, pass float range, or where the group delay reads 0 over all of it, past |w| = 5.8e76."""
     half = max(8.0, math.sqrt(0.5 * (min(od_eff, OD_EFF_MAX) + 40.0))) / pulse.sigma
     if not half < SIGMA_MAX:
         raise InvalidParameterError(f"sigma = {pulse.sigma:.6g} spreads the spectrum past float range")
+    near = max(abs(pulse.detuning) - half, 0.0)  # the window's distance from the line centre w = 0
+    den = 1.0 + 4.0 * near * near
+    if not den * den < math.inf:
+        raise InvalidParameterError(f"detuning = {pulse.detuning:.6g} puts the whole window past |w| = 5.8e76, "
+                                    "where (1 + 4 w^2)^2 overflows and the group delay reads 0")
     return pulse.detuning, half
 
 
 def _spectral_integrals(pulse: PulseSpec, rows, signed=()):
     """(values, panels): the integral of each row of rows(w, dens) over the pulse spectrum, dens its density
     at w, on _level's nodes until _converge stops them; a narrow-band pulse gives rows(detuning, 1.0) and 0
-    panels; a mapped pass scales the rows in signed (_row_scale). A Gaussian keeps its own window 8 / sigma,
-    off which the density, and a row it bounds (a scattered weight), has mass below e^-128, far under
-    _converge's 1e-9; only passes that carry P_T widen it. Every frequency integral is taken here."""
+    panels. A Gaussian scales the rows in signed (_row_scale) and keeps its own window 8 / sigma, off which
+    the density, and a row it bounds (a scattered weight), has mass below e^-128, far under _converge's
+    1e-9; only passes that carry P_T widen it. Every frequency integral is taken here."""
     if isinstance(pulse, NarrowBandPulse):
         return _level(pulse, rows, 0), 0
-    signed = signed if _start(pulse) == N_START_MAPPED else ()
+    signed = signed if isinstance(pulse, GaussianPulse) else ()
 
     def scaled(w, dens):  # the rows, then |row| of each row in signed
         vals = np.asarray(rows(w, dens))
@@ -101,7 +107,7 @@ def _spectral_integrals(pulse: PulseSpec, rows, signed=()):
 
     level = lambda n, cols, prev: _level(pulse, scaled if signed else rows, n, prev=prev)[:, None]
     level.signed = signed
-    vals, panels = _converge(level, _start(pulse))
+    vals, panels = _converge(level, pulse)
     return vals[:, 0], int(panels[0])
 
 
@@ -109,12 +115,12 @@ def _level(pulse: PulseSpec, rows, n, od_eff=0.0, depths=None, prev=None):
     """The row integrals on level n's nodes (_nodes) for a -ln P_T of at most od_eff, the sum of
     its blocks' (_integrate_block); given a 1-D array of depths, with a trailing depth axis.
     Given prev, level n / 2's integrals, a Gaussian samples only level n's new midpoints and
-    returns prev / 2 + their weighted sum, level n's trapezoid in w or u; a table ignores prev."""
+    returns prev / 2 + their weighted sum, level n's trapezoid in u; a table ignores prev."""
     if isinstance(pulse, NarrowBandPulse):
         return np.asarray(rows(pulse.detuning, 1.0))
     nested = prev is not None and isinstance(pulse, GaussianPulse)
-    total = reduce(np.add, (_integrate_block(integrate, rows, depths, w, pulse.spectral_density(w))
-                            for w, integrate in _nodes(pulse, n, od_eff, nested)))
+    total = reduce(np.add, (_integrate_block(integrate, rows, depths, w, dens)
+                            for w, dens, integrate in _nodes(pulse, n, od_eff, nested)))
     return 0.5 * np.reshape(prev, total.shape) + total if nested else total  # prev may hold a column axis
 
 
@@ -131,71 +137,57 @@ def _integrate_block(integrate, rows, depths, x, dens):
 
 
 def _nodes(pulse: PulseSpec, n, od_eff=0.0, midpoints=False):
-    """Level n's blocks (w, integrate) of about _BLOCK // 4 nodes each: frequency nodes w,
-    and integrate(rows), the rule that sums rows sampled at w along their last axis into
-    the block's integrals. The level's integrals are the blocks' sum.
+    """Level n's blocks (w, dens, integrate) of about _BLOCK // 4 nodes each: frequency nodes w, the pulse's
+    density dens there, and integrate(rows), the rule that sums rows sampled at w along their last axis into
+    the block's integrals. The level's integrals are the blocks' sum; each block is made as it is taken.
 
-    A Gaussian: the trapezoid on n panels over its window for a -ln P_T of at most od_eff,
-    _BLOCK // 4 panels a block; each block is its own trapezoid, and shares its end node
-    with the next; with midpoints, only the n / 2 odd nodes that level n / 2 lacks, as the
-    whole grid's floats, each block's integral its weighted sum; uniform in w, or in u where
-    _start maps the window (_sinh_block). A table, whose nodes do not nest, ignores midpoints:
-    two-point Gauss-Legendre on each interval between its own samples and the n + 1 uniform
-    points over its span, _BLOCK // 8 intervals a block. Its density, |linear interpolant|^2,
-    is quadratic on each such interval and 0 off the span, so only the rows' other factors
-    limit the rule. Its nodes number at most 2 (n + m) for m table intervals; past
-    n = N_CAP / 2 it raises _converge's NumericError.
+    A Gaussian: the trapezoid in u on n panels of its window for a -ln P_T of at most od_eff
+    (_sinh_blocks), each block its own trapezoid sharing its end node with the next; with
+    midpoints, only the n / 2 odd nodes that level n / 2 lacks, as the whole grid's floats.
+    A table, whose nodes do not nest, ignores midpoints: two-point Gauss-Legendre on each
+    interval between its own samples and the n + 1 uniform points over its span, _BLOCK // 8
+    intervals a block. Its density, |linear interpolant|^2, is quadratic on each such
+    interval and 0 off the span, so only the rows' other factors limit the rule. Its nodes
+    number at most 2 (n + m) for m table intervals; past n = N_CAP / 2 it raises
+    _converge's NumericError.
     """
     if isinstance(pulse, GaussianPulse):
-        center, half = _spectral_window(pulse, od_eff)
-        if _start(pulse, od_eff) == N_START_MAPPED:  # each block's nodes are made as it is taken
-            nodes = n // 2 if midpoints else n
-            return (_sinh_block(center, half, n, i, midpoints) for i in range(0, nodes, _BLOCK // 4))
-        w, h = _panel_grid(center, half, n)
-        if midpoints:
-            w, integrate = w[1::2], lambda rows: h * rows.sum(axis=-1)
-            return ((w[i:i + _BLOCK // 4], integrate) for i in range(0, n // 2, _BLOCK // 4))
-        return ((w[i:i + _BLOCK // 4 + 1], partial(_trapezoid, h)) for i in range(0, n, _BLOCK // 4))
+        return _sinh_blocks(pulse, *_spectral_window(pulse, od_eff), n, midpoints)
     if 2 * n > N_CAP:
         raise NumericError(f"quadrature not converged at {N_CAP} panels (tol={DEFAULT_TOL})")
     omegas = pulse.omegas
     # their union, as np.union1d takes it; np.unique's first call would import numpy.ma
     edges = np.sort(np.concatenate([omegas, np.linspace(omegas[0], omegas[-1], n + 1)]))
     edges = edges[np.concatenate([[True], edges[1:] != edges[:-1]])]
-    return (_gauss_legendre(edges[i:i + _BLOCK // 8 + 1]) for i in range(0, edges.size - 1, _BLOCK // 8))
+    return (_gauss_legendre(pulse, edges[i:i + _BLOCK // 8 + 1]) for i in range(0, edges.size - 1, _BLOCK // 8))
 
 
-def _start(pulse: PulseSpec, od_eff=0.0):
-    """A pass's first panel count and rule (_row_scale): N_START_MAPPED on the sinh grid (_nodes), else N_START."""
-    if isinstance(pulse, GaussianPulse):
-        center, half = window = _spectral_window(pulse, od_eff)
-        if abs(center) <= half and window == _spectral_window(pulse):  # holds w = 0; od_eff <= 88
-            return N_START_MAPPED
-    return N_START
-
-
-def _gauss_legendre(edges):
-    """The block (w, integrate) of two-point Gauss-Legendre on the k intervals between
+def _gauss_legendre(pulse: PulseSpec, edges):
+    """The block (w, dens, integrate) of two-point Gauss-Legendre on the k intervals between
     edges: w holds every interval's left node, then every interval's right node."""
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
     k = half.size
-    return (np.concatenate([mid - _GL_X * half, mid + _GL_X * half]),
-            lambda rows: ((rows[..., :k] + rows[..., k:]) * half).sum(axis=-1))
+    w = np.concatenate([mid - _GL_X * half, mid + _GL_X * half])
+    return w, pulse.spectral_density(w), lambda rows: ((rows[..., :k] + rows[..., k:]) * half).sum(axis=-1)
 
 
-def _converge(level, start):
-    """Double n from start (the pass's _start) until no row of level(n, cols, prev), the rows x columns
-    integrals on n panels at columns cols (first slice(None), then the open ones), changes by more than
-    DEFAULT_TOL times its _row_scale; each column stops at its own first converged doubling; prev is level
-    n / 2's values at cols, None on the first call. Returns (values, panels): the rows x columns values, each
-    column's count. The rows the level appends, the integrals of |row| of those in level.signed, only scale."""
+def _converge(level, pulse: PulseSpec, od_eff=0.0):
+    """Double n from N_START_MAPPED for a Gaussian, N_START for a table, until no row of level(n, cols, prev),
+    the rows x columns integrals on n panels at columns cols (first slice(None), then the open ones), changes
+    by more than DEFAULT_TOL times its _row_scale for a -ln P_T of at most od_eff; each column stops at its
+    own first converged doubling; prev is level n / 2's values at cols, None on the first call. Returns
+    (values, panels): the rows x columns values, each column's count. The rows the level appends, the
+    integrals of |row| of those in level.signed, only scale."""
+    start, floor = N_START, None  # a table's rule, max(|value|, 1)
+    if isinstance(pulse, GaussianPulse):  # on the pulse's own window a column below e^-88 re-runs
+        start, floor = N_START_MAPPED, math.exp(-_OWN_OD) if od_eff <= _OWN_OD else 0.0
     prev, signed = level(start, slice(None), None), getattr(level, "signed", ())
     k = prev.shape[0] - len(signed)
     values, panels, cols = np.empty_like(prev[:k]), np.empty(prev.shape[1], dtype=int), np.arange(prev.shape[1])
     n = 2 * start
     while n <= N_CAP:
         vals = level(n, cols, prev)
-        done = (np.abs(vals[:k] - prev[:k]) <= DEFAULT_TOL * _row_scale(vals, signed, start)).all(axis=0)
+        done = (np.abs(vals[:k] - prev[:k]) <= DEFAULT_TOL * _row_scale(vals, signed, floor)).all(axis=0)
         values[:, cols[done]], panels[cols[done]] = vals[:k, done], n
         if done.all():
             return values, panels
@@ -204,14 +196,14 @@ def _converge(level, start):
     raise NumericError(f"quadrature not converged at {N_CAP} panels (tol={DEFAULT_TOL})")
 
 
-def _row_scale(vals, signed, start):
-    """A value row's scale in _converge: max(|value|, 1) on a uniform pass; on a mapped one |value|, or for a row in
-    signed its appended integral of |row|, at least e^-88 of the column's largest (past od_eff 88 depths re-run)."""
+def _row_scale(vals, signed, floor):
+    """A value row's scale in _converge: |value|, or for a row in signed its appended integral of |row|, at least
+    floor times the column's largest (e^-88 on a Gaussian's own window, else 0); on a table max(|value|, 1)."""
     scale = np.abs(vals[:vals.shape[0] - len(signed)])
-    if start != N_START_MAPPED:
+    if floor is None:
         return np.maximum(scale, 1.0)
     scale[list(signed)] = np.abs(vals[scale.shape[0]:])
-    return np.maximum(scale, math.exp(-88.0) * scale.max(axis=0))
+    return np.maximum(scale, floor * scale.max(axis=0))
 
 
 def _by_column(batch, values):
@@ -225,36 +217,28 @@ def _by_column(batch, values):
     return [out for i in range(values.size) for out in batch(values[i:i + 1])]
 
 
-def _sinh_block(center, half, n, i, midpoints):
-    """Level n's block (w, integrate) from node i (midpoints: odd node 2 i + 1) on the sinh grid over
-    center +- half: w = sinh(u) / 2 (the ends exact) of weight h cosh(u) / 2, u on n uniform panels
-    over asinh(2 w) of the ends about their centre, so level n / 2's nodes and h / 2 recur exactly
-    at level n. Every row is analytic in |Im u| < pi / 4: the trapezoid converges geometrically."""
-    k = np.arange(i, min(i + _BLOCK // 4, n // 2 if midpoints else n) + (not midpoints))
-    lo, hi = math.asinh(2.0 * (center - half)), math.asinh(2.0 * (center + half))
-    u = ((2 * k + 1 if midpoints else k) - n / 2) * ((hi - lo) / n) + 0.5 * (lo + hi)
-    w, wts = np.sinh(u) / 2, (hi - lo) / n * np.cosh(u) / 2
-    if not midpoints:
-        w[k == 0], w[k == n] = center - half, center + half
-        wts[0], wts[-1] = 0.5 * wts[0], 0.5 * wts[-1]
-    return w, lambda rows: (rows * wts).sum(axis=-1)
-
-
-def _panel_grid(center, half_width, n):
-    """The n + 1 uniform nodes over center +- half_width, as np.linspace's, and their spacing h > 0."""
-    lo, hi = center - half_width, center + half_width
-    w = np.arange(n + 1.0) * ((hi - lo) / n) + lo
-    w[-1] = hi
-    h = w[1] - w[0]
-    if not h > 0.0:
-        raise InvalidParameterError(f"quadrature panels near w = {w[0]:.6g} are finer than "
-                                    "float64 resolves there")
-    return w, h
-
-
-def _trapezoid(h, rows):
-    """Trapezoid sum along the last axis of samples spaced h apart."""
-    return h * (rows.sum(axis=-1) - 0.5 * (rows[..., 0] + rows[..., -1]))
+def _sinh_blocks(pulse: GaussianPulse, center, half, n, midpoints):
+    """Level n's blocks (w, dens, integrate) over center +- half, as _nodes takes them, on the map w = a + t,
+    t = s sinh(u). The anchor a is the window's point nearest the line centre w = 0, and s = hypot(a, 1 / 2) is
+    its distance to the line's poles at +-i / 2. u lies on n uniform panels, about their centre, over asinh(x / s)
+    of the ends' offsets x = -+half - c from a, c = a - center, so level n / 2's nodes and h / 2 recur at level n;
+    the weights are h s cosh(u), and t = x at the ends. The density is taken at the exact offsets c + t from the
+    carrier, as that of the pulse moved to carrier -c at t (the pulse itself where a = 0), however far the carrier
+    lies. Every row is analytic in a strip about the real u axis, so the trapezoid converges geometrically
+    (Trefethen & Weideman 2014)."""
+    lo, hi = center - half, center + half
+    a, c, end = min(max(0.0, lo), hi), min(max(-center, -half), half), n // 2 if midpoints else n
+    x_lo, x_hi, s = -half - c, half - c, math.hypot(a, 0.5)
+    u_lo, u_hi = math.asinh(x_lo / s), math.asinh(x_hi / s)
+    h, twin = (u_hi - u_lo) / n, replace(pulse, detuning=-c) if a else pulse
+    for i in range(0, end, _BLOCK // 4):
+        k = np.arange(i, min(i + _BLOCK // 4, end) + (not midpoints))
+        u = ((2 * k + 1 if midpoints else k) - n / 2) * h + 0.5 * (u_lo + u_hi)
+        t, wts = s * np.sinh(u), h * s * np.cosh(u)
+        if not midpoints:  # each block is its own trapezoid
+            t[k == 0], t[k == n] = x_lo, x_hi
+            wts[0], wts[-1] = 0.5 * wts[0], 0.5 * wts[-1]
+        yield t + a if a else t, twin.spectral_density(t), lambda rows, wts=wts: (rows * wts).sum(axis=-1)
 
 
 def _core_rows(od0, scaled=False):
@@ -303,7 +287,7 @@ def _core_pass(pulse: PulseSpec, depths):
 
 def _core_block(pulse: PulseSpec, od0):
     def level(depths, od_eff=0.0):  # _converge's level(n, cols, prev): _core_rows integrals at depths[cols]
-        scaled = _start(pulse, od_eff) == N_START_MAPPED  # then |tau_T numerator| (_row_scale)
+        scaled = isinstance(pulse, GaussianPulse)  # then |tau_T numerator| (_row_scale)
         if depths.size == 1:  # one depth is sampled without the depth axis, as its one column
             rows = _core_rows(depths[0], scaled)
             at = lambda n, cols, prev: _level(pulse, rows, n, od_eff, prev=prev)[:, None]
@@ -312,12 +296,12 @@ def _core_block(pulse: PulseSpec, od0):
         at.signed = (3,) if scaled else ()
         return at
 
-    vals, n = _converge(level(od0), _start(pulse))
+    vals, n = _converge(level(od0), pulse)
     for j, (norm, pt_raw) in enumerate(vals[:2].T.tolist()):
         # a dense medium transmits in the far wing: re-run on the window of this -ln P_T
         bound = -math.log(pt_raw / norm) if pt_raw > 0.0 else OD_EFF_MAX
-        if isinstance(pulse, GaussianPulse) and _spectral_window(pulse, bound) != _spectral_window(pulse):
-            vals[:, j:j + 1], n[j:j + 1] = _converge(level(od0[j:j + 1], bound), _start(pulse, bound))
+        if isinstance(pulse, GaussianPulse) and bound > _OWN_OD:
+            vals[:, j:j + 1], n[j:j + 1] = _converge(level(od0[j:j + 1], bound), pulse, bound)
     if not (vals[1] > 0.0).all():
         raise InvalidParameterError(f"P_T underflows to 0 at od0 = {od0[~(vals[1] > 0.0)][0]:.6g}; "
                                     "the transmitted spectrum is below float64 range")
@@ -447,7 +431,7 @@ def _invert_block(pulse: PulseSpec, targets):
 
 def _invert_window(pulse: PulseSpec, targets):
     """invert_od_eff of nonzero targets in [0, OD_EFF_MAX] that share a window. A Gaussian's
-    levels nest as _level's do: past its _start each holds its midpoint blocks and nested norm."""
+    levels nest as _level's do: past the first each holds its midpoint blocks and nested norm."""
     levels = {}  # panel count -> the od0-independent parts: its blocks' (rule, line, density), the norm
 
     def transmitted(d):  # (line, dens) -> the rows trans and trans * line at a (k, 1) column d of od0
@@ -465,8 +449,8 @@ def _invert_window(pulse: PulseSpec, targets):
         def level(n, cols, prev):  # nested as _level's, on levels[n // 2] and slopes[n // 2]
             nested = prev is not None and isinstance(pulse, GaussianPulse)
             if n not in levels:
-                blocks = [(integrate, lorentzian(w), pulse.spectral_density(w))
-                          for w, integrate in _nodes(pulse, n, targets[0], nested)]
+                blocks = [(integrate, lorentzian(w), dens)
+                          for w, dens, integrate in _nodes(pulse, n, targets[0], nested)]
                 norm = reduce(np.add, (integrate(dens) for integrate, _, dens in blocks))
                 levels[n] = blocks, 0.5 * levels[n // 2][1] + norm if nested else norm
             blocks, norm = levels[n]
@@ -477,7 +461,7 @@ def _invert_window(pulse: PulseSpec, targets):
                 raw[:, idx] += 0.5 * slopes[n // 2][:, idx]
             return np.array([np.full(idx.size, norm), raw[0, idx]])
 
-        (norm, pt_raw), n = _converge(level, _start(pulse, targets[0]))
+        (norm, pt_raw), n = _converge(level, pulse, targets[0])
         with np.errstate(divide="ignore", invalid="ignore"):
             slope = np.array([slopes[k][1, i] for i, k in enumerate(n)]) / pt_raw
             return np.where(pt_raw > 0.0, -np.log(pt_raw / norm), math.inf), slope

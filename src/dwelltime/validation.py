@@ -421,7 +421,7 @@ def check_crossval_timedomain(bound):
     slow = max(r["elapsed"] for r in data)
     ok = worst_p < 0.01 and worst_t < bound and worst_0 < 0.01 and ratio_ok and slow < 120.0
     detail = (f"dP={worst_p:.2e} dtauT={worst_t:.2e} dtau0={worst_0:.2e} "
-              f"step-halving ratios={[f'{x:.1f}' for x in ratios]} max_case={slow:.0f}s")
+              f"step-halving ratios={[f'{x:.1f}' for x in ratios]}")
     return worst_t, detail, ok
 
 

@@ -26,11 +26,12 @@ def fine_table_rule():
     def nodes(pulse, n, od_eff=0.0, midpoints=False):
         a, b = pulse.omegas[:-1, None], pulse.omegas[1:, None]
         weights = (0.5 * (b - a) * wts).ravel()
-        return [((0.5 * (a + b) + 0.5 * (b - a) * x).ravel(), lambda rows: (rows * weights).sum(axis=-1))]
+        w = (0.5 * (a + b) + 0.5 * (b - a) * x).ravel()
+        return [(w, pulse.spectral_density(w), lambda rows: (rows * weights).sum(axis=-1))]
 
-    def one_level(level, start):
-        vals = level(start, slice(None), None)
-        return vals, np.full(vals.shape[1], start)
+    def one_level(level, pulse, od_eff=0.0):
+        vals = level(spectral.N_START, slice(None), None)
+        return vals, np.full(vals.shape[1], spectral.N_START)
 
     @contextlib.contextmanager
     def rule():

@@ -1,12 +1,15 @@
 """A long-double reference for averages over a Gaussian pulse's spectrum.
 
-The trapezoid in u over the pulse's own window, with w = sinh(u) / 2, taken in
-np.longdouble at the exact float inputs a caller passes. Every row the package
-integrates is analytic in |Im u| < pi / 4, so on the default 4096 panels the rule
-has converged far below float64 rounding (512 and 1024 panels agree with it to
-about 1e-18 in P_T, P_S and the delays), and where long double carries at least
-64 bits of mantissa its own rounding lies near 1e-19: the reference can say which
-float64 digit is the correctly rounded one.
+The trapezoid in u over the pulse's own window, on the map w = a + s sinh(u) with a
+the window's point nearest the line centre w = 0 and s = hypot(a, 1 / 2), taken in
+np.longdouble at the exact float inputs a caller passes. The density is taken at the
+carrier offsets c + s sinh(u), c = a - detuning, so a window far from the line keeps
+its offsets exact. Every row the package integrates is analytic in a strip about the
+real u axis, so on the default 4096 panels the rule has converged far below float64
+rounding (512 and 1024 panels agree with it to about 1e-18 in P_T, P_S and the delays
+where the window holds the line), and where long double carries at least 64 bits of
+mantissa its own rounding lies near 1e-19: the reference can say which float64 digit
+is the correctly rounded one.
 """
 
 import numpy as np
@@ -21,14 +24,17 @@ def integrals(sigma, detuning, rows, panels=4096, half=8):
     """The integral of each row of rows(w, dens), long double arrays of the nodes w and the
     density dens there, over the window +- half / sigma about the carrier, and the density's
     own integral first. Each lacks the same constant factor, which every ratio cancels."""
-    sigma, detuning, half = LONG(sigma), LONG(detuning), LONG(half)
-    lo, hi = np.arcsinh(2 * (detuning - half / sigma)), np.arcsinh(2 * (detuning + half / sigma))
-    u = lo + (hi - lo) * np.arange(panels + 1, dtype=LONG) / panels
-    w = np.sinh(u) / 2
-    weights = np.cosh(u) / 2  # dw / du
+    sigma, detuning = LONG(sigma), LONG(detuning)
+    half = LONG(half) / sigma
+    lo, hi = detuning - half, detuning + half
+    a, c = min(max(LONG(0), lo), hi), min(max(-detuning, -half), half)
+    s = np.sqrt(a * a + LONG(0.25))
+    u_lo, u_hi = np.arcsinh((-half - c) / s), np.arcsinh((half - c) / s)
+    u = u_lo + (u_hi - u_lo) * np.arange(panels + 1, dtype=LONG) / panels
+    weights = s * np.cosh(u)  # dw / du
     weights[[0, -1]] /= 2
-    dens = np.exp(-2 * sigma**2 * (w - detuning) ** 2)
-    return [(weights * row).sum() for row in (dens, *rows(w, dens))]
+    dens = np.exp(-2 * sigma**2 * (c + s * np.sinh(u)) ** 2)
+    return [(weights * row).sum() for row in (dens, *rows(a + s * np.sinh(u), dens))]
 
 
 def report(sigma, detuning, od0, panels=4096, half=8):

@@ -357,14 +357,30 @@ kind = timedomain
         assert cli.main(["run", cfg]) == 3
         assert "quadrature not converged at 1048576 panels" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("detuning,code", [(5e13, 0), (1.8e14, 4), (1e16, 4), (1e100, 4)])
-    def test_window_below_float_resolution_exits_4(self, tmp_path, capsys, detuning, code):
-        # past 7e13 to 8e13 the nodes of the +-8 window round onto each other; refused
-        # before any row is divided by a zero-width quadrature
+    @pytest.mark.parametrize("detuning", [5e13, 1.8e14, 1e16, 1e20, 5e76])
+    def test_far_detuned_window_matches_the_carrier(self, tmp_path, detuning):
+        # past 7e13 to 8e13 the nodes of a uniform +-8 window rounded onto each other, and
+        # the run was refused (exit 4). The map anchored at the window's near end takes its
+        # u-span and the density from exact offsets, also where the window's ends round to
+        # one float (1e20, 5e76). The line varies by at most 3e-13 of itself over the window,
+        # and the symmetric spectrum averages its first order away, so P_S and tau_T are the
+        # narrow-band closed forms at the carrier
         cfg = write(tmp_path, BASE.replace("sigma = 1.0", f"sigma = 1.0\ndetuning = {detuning}"))
-        assert cli.main(["run", cfg]) == code
-        if code == 4:
-            assert "precondition violation" in capsys.readouterr().err
+        assert cli.main(["run", cfg]) == 0
+        medium = make_uniform_medium(2.0)
+        got = spectral.delay_report(GaussianPulse(1.0, detuning), medium)
+        carrier = spectral.delay_report(NarrowBandPulse(detuning), medium)
+        assert got.P_S == pytest.approx(carrier.P_S, rel=1e-12)
+        assert got.tau_T == pytest.approx(carrier.tau_T, rel=1e-12)
+
+    @pytest.mark.parametrize("detuning", [7e76, -1e77, 1e100])
+    def test_window_past_the_group_delay_exits_4(self, tmp_path, capsys, detuning):
+        # past |w| = 5.8e76 (1 + 4 w^2)^2 overflows and the group delay reads 0 over the
+        # whole window, so tau_T's numerator is 0 and tau_S would print 1.0
+        cfg = write(tmp_path, BASE.replace("sigma = 1.0", f"sigma = 1.0\ndetuning = {detuning}"))
+        assert cli.main(["run", cfg]) == 4
+        err = capsys.readouterr().err
+        assert "precondition violation" in err and f"detuning = {detuning:.6g}" in err
 
     # the exit code and stderr prefix documented for each error class
     DOCUMENTED = {

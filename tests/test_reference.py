@@ -11,7 +11,7 @@ from dwelltime.domain import GaussianPulse, make_uniform_medium
 from dwelltime.errors import InvalidParameterError
 
 from test_cavity import CAVITY_HEX, pinned_case
-from test_spectral import REPORT_FIELDS, REPORT_HEX, UNIFORM_HEX, report_pulse
+from test_spectral import FAR_HEX, REPORT_FIELDS, REPORT_HEX, line_outside_cases, report_pulse
 
 pytestmark = pytest.mark.skipif(not reference.PRECISE, reason=reference.WHY_NOT)
 LONG = reference.LONG
@@ -38,7 +38,7 @@ def test_asymptotic_figure_prints_the_reference_digits(name):
             columns = {2: ref["tau_T"], 4: od_eff / 2}
         for col, want in columns.items():
             if not reference.near_boundary(want):
-                assert cli._fmt(row[col]) == reference.printed(want), (row[0], col)
+                assert "%.11e" % row[col] == reference.printed(want), (row[0], col)
 
 
 @pytest.mark.parametrize("sigma", [1e-4, 1e-6])
@@ -87,10 +87,18 @@ def test_gaussian_report_pin_matches_the_reference():
 def test_dense_uniform_pin_matches_the_reference():
     # the window of the dense re-run leaves out P_T's mass beyond e^-40 of it, so the
     # reference takes the widest window, sqrt((OD_EFF_MAX + 40) / 2) / sigma = 19.3 / sigma
-    (sigma, detuning, od0), fields, _ = UNIFORM_HEX["dense"]
+    (sigma, detuning, od0), fields, _ = FAR_HEX["dense"]
     ref = reference.report(sigma, detuning, od0, half=np.sqrt(0.5 * (spectral.OD_EFF_MAX + 40.0)))
     assert float.fromhex(fields[0]) == pytest.approx(float(ref["P_T"]), rel=1e-14)
     assert float.fromhex(fields[3]) == pytest.approx(float(ref["tau_T"]), rel=1e-15)
+
+
+@pytest.mark.parametrize("name", ["far_detuned", "line_outside"])
+def test_line_outside_pins_match_the_reference(name):
+    (sigma, detuning, od0), fields, _ = FAR_HEX[name]
+    ref = reference.report(sigma, detuning, od0)
+    for field in ("P_T", "P_S", "tau_T"):
+        assert float.fromhex(fields[REPORT_FIELDS.index(field)]) == pytest.approx(float(ref[field]), rel=1e-14)
 
 
 # each field's relative error bound for a report from one mapped pass
@@ -99,12 +107,14 @@ MAPPED_ODS = (1e-3, 0.1, 2.0, 20.0, 1e3, 1e4, 1e5)
 
 
 def _mapped_reports(sigmas, detunings, ods):
-    """(pulse, od0, report) of each case whose report comes from one mapped pass: the
-    pulse's own window holds the line, and od_eff <= 88 keeps that window."""
+    """(pulse, od0, report) of each case whose report comes from one pass on a map anchored
+    at the line centre: the pulse's own window holds the line, and od_eff <= 88 keeps that
+    window."""
     for sigma in sigmas:
         for detuning in detunings:
             pulse = GaussianPulse(sigma, detuning)
-            if spectral._start(pulse) != spectral.N_START_MAPPED:
+            center, half = spectral._spectral_window(pulse)
+            if abs(center) > half:
                 continue
             for od0 in ods:
                 try:
@@ -134,8 +144,21 @@ def test_mapped_reports_match_the_reference():
 def test_absolute_rule_stops_a_mapped_pass_short(monkeypatch):
     # max(|v|, 1) judges a P_T of e^-83 in absolute terms, so the pass stops at its first
     # doubling, 128 panels, with P_T and tau_T 4.7e-7 and 5.7e-7 off
-    monkeypatch.setattr(spectral, "_row_scale", lambda vals, signed, start: np.maximum(
+    monkeypatch.setattr(spectral, "_row_scale", lambda vals, signed, floor: np.maximum(
         np.abs(vals[:len(vals) - len(signed)]), 1.0))
     [(pulse, od0, report)] = _mapped_reports([1.0], [3.0], [1e4])
     errors = _errors(pulse, od0, report)
     assert errors["P_T"] > 1e-9 and errors["tau_T"] > 1e-9
+
+
+def test_line_outside_reports_match_the_reference():
+    # on the map anchored at the window's near end, with the density at the exact carrier
+    # offsets. P_T = e^-od_eff takes the rounding of the exponent, od_eff eps; P_S and tau_T
+    # hold the mapped bounds. tau_S is left out: 1 - num / P_S cancels where the detuning is
+    # large (3.8e-4 off at sigma 1, detuning 1e6, od0 1e-3)
+    for pulse, od0 in line_outside_cases():
+        report = spectral.delay_report(pulse, make_uniform_medium(od0))
+        errors = _errors(pulse, od0, report)
+        assert errors["P_T"] <= max(5e-15, 4.0 * report.od_eff * np.finfo(float).eps), (pulse, od0)
+        for field in ("P_S", "tau_T"):
+            assert errors[field] <= MAPPED_ERRORS[field], (pulse, od0, field, errors[field])

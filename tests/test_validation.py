@@ -91,3 +91,21 @@ def test_cli_profile_choices_are_the_registry_profiles():
     subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     [profile] = [a for a in subparsers.choices["validate"]._actions if a.dest == "profile"]
     assert tuple(profile.choices) == tuple(validation.PROFILES)
+
+
+def _crossval_rows(elapsed):
+    """_crossval_data's rows for three cases that converge at second order, each taking elapsed s."""
+    base = {"dp": 4e-6, "dt": 4e-4, "d0": 8e-6, "book": 0.0, "overlap_spread": 0.0}
+    return [{"base": base, "half": {k: v / 4.0 for k, v in base.items()}, "elapsed": elapsed}] * 3
+
+
+def test_crossval_detail_holds_no_wall_time(monkeypatch):
+    # validate prints the detail, and the slowest case's wall time in it made two runs'
+    # lines differ; the 120 s limit on each case still fails the check
+    details = []
+    for elapsed, passed in ((0.4, True), (90.0, True), (130.0, False)):
+        monkeypatch.setattr(validation, "_crossval_data", lambda elapsed=elapsed: _crossval_rows(elapsed))
+        result = validation.check_crossval_timedomain()
+        assert result.passed is passed, elapsed
+        details.append(result.detail)
+    assert len(set(details)) == 1, details
